@@ -1,29 +1,25 @@
 """Quaternion knowledge-graph embeddings with distance-based scoring."""
 
 from .data import TripleStore, build_store, load_dataset, load_split
-from .errors import (CheckpointError, DimensionMismatchError, ParseError,
-                     QuatKGEError, ShapeMismatchError, ZeroQuaternionError)
+from .errors import (CheckpointError, ParseError, QuatKGEError,
+                     ShapeMismatchError, ZeroQuaternionError)
 from .evaluation import (ClassificationReport, RankingReport, link_prediction,
                          per_relation_mrr, rank_entity, triple_classification)
-from .model import (EmbeddingTable, Score, init_embeddings, load_checkpoint,
-                    rotate_head, save_checkpoint, score_all_heads,
-                    score_all_tails, score_quate_d, score_quate_inner,
-                    score_rotate, score_triples)
-from .quat import Quaternion, QuatVec
+from .model import (CandidateScorer, EmbeddingTable, init_embeddings,
+                    load_checkpoint, save_checkpoint, score_triples)
+from .quat import Quaternion
 from .train import (AdagradState, FitResult, GradientBuffer, TrainConfig,
                     adagrad_step, batch_loss, fit, grad_batch, sample_negatives)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdagradState", "CheckpointError", "ClassificationReport",
-    "DimensionMismatchError", "EmbeddingTable", "FitResult", "GradientBuffer",
-    "ParseError", "QuatKGEError", "Quaternion", "QuatVec", "RankingReport",
-    "Score", "ShapeMismatchError", "TrainConfig", "TripleStore",
-    "ZeroQuaternionError", "adagrad_step", "batch_loss", "build_store", "fit",
-    "grad_batch", "init_embeddings", "link_prediction", "load_checkpoint",
-    "load_dataset", "load_split", "per_relation_mrr", "rank_entity",
-    "rotate_head", "sample_negatives", "save_checkpoint", "score_all_heads",
-    "score_all_tails", "score_quate_d", "score_quate_inner", "score_rotate",
+    "AdagradState", "CandidateScorer", "CheckpointError", "ClassificationReport",
+    "EmbeddingTable", "FitResult", "GradientBuffer", "ParseError",
+    "QuatKGEError", "Quaternion", "RankingReport", "ShapeMismatchError",
+    "TrainConfig", "TripleStore", "ZeroQuaternionError", "adagrad_step",
+    "batch_loss", "build_store", "fit", "grad_batch", "init_embeddings",
+    "link_prediction", "load_checkpoint", "load_dataset", "load_split",
+    "per_relation_mrr", "rank_entity", "sample_negatives", "save_checkpoint",
     "score_triples", "triple_classification", "__version__",
 ]

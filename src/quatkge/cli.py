@@ -19,8 +19,8 @@ import numpy as np
 
 from . import evaluation, properties, reporting
 from .data import load_dataset
-from .errors import (CheckpointError, DimensionMismatchError, ParseError,
-                     ShapeMismatchError, ZeroQuaternionError)
+from .errors import (CheckpointError, ParseError, ShapeMismatchError,
+                     ZeroQuaternionError)
 from .model import (SCORERS, check_table_matches_store, load_checkpoint,
                     save_checkpoint)
 from .train import TrainConfig, fit
@@ -31,8 +31,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 _DATA_ERRORS = (ParseError, CheckpointError, ShapeMismatchError, OSError)
-_NUMERIC_ERRORS = (ZeroQuaternionError, DimensionMismatchError,
-                   FloatingPointError, OverflowError)
+_NUMERIC_ERRORS = (ZeroQuaternionError, FloatingPointError, OverflowError)
 
 
 class _Parser(argparse.ArgumentParser):

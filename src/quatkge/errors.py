@@ -6,11 +6,11 @@ class QuatKGEError(Exception):
 
 
 class ZeroQuaternionError(QuatKGEError):
-    """Normalization was requested for a quaternion with (near-)zero magnitude."""
+    """A quaternion cannot be normalized or scored.
 
-
-class DimensionMismatchError(QuatKGEError):
-    """Operands have incompatible embedding dimensions."""
+    Raised for a coordinate of (near-)zero magnitude and for embeddings or
+    scores that are not finite.
+    """
 
 
 class ParseError(QuatKGEError):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import train
 from .data import HEAD, TAIL, TripleStore
-from .model import CandidateScorer, EmbeddingTable, score_triples
+from .model import CandidateScorer, EmbeddingTable, lower_is_better, score_triples
 
 logger = logging.getLogger(__name__)
 
@@ -94,13 +95,13 @@ def rank_entity(table: EmbeddingTable, store: TripleStore, triple,
     scores = cand.all_heads(r, t) if position == HEAD else cand.all_tails(h, r)
     mask, _ = _candidate_mask(store, (h, r, t), position, mode, constraint)
     gold = h if position == HEAD else t
-    return _mean_rank(scores, gold, mask, cand.lower_is_better)
+    return _mean_rank(scores, gold, mask, lower_is_better(scorer))
 
 
 def _iter_query_ranks(table, store, mode, constraint, scorer, split):
     """Yield (relation, rank, reinserted) for both directions of every triple."""
     cand = CandidateScorer(table, scorer)
-    lower = cand.lower_is_better
+    lower = lower_is_better(scorer)
     for h, r, t in store.split(split):
         h, r, t = int(h), int(r), int(t)
         for position, scores, gold in (
@@ -148,28 +149,6 @@ def per_relation_mrr(table: EmbeddingTable, store: TripleStore,
     return link_prediction(table, store, mode, constraint, scorer, split).per_relation_mrr
 
 
-def _corrupt_once(store: TripleStore, triple, rng: np.random.Generator,
-                  constraint: bool, max_attempts: int = 100) -> tuple[int, int, int]:
-    """One filtered corruption of head or tail (fair coin)."""
-    h, r, t = (int(x) for x in triple)
-    corrupt_head = rng.integers(2) == 0
-    if constraint:
-        pool = store.type_candidates(r, HEAD if corrupt_head else TAIL)
-    else:
-        pool = None
-    candidate = (h, r, t)
-    for _ in range(max_attempts):
-        if pool is None:
-            e = int(rng.integers(store.n_entities))
-        else:
-            e = int(pool[rng.integers(pool.size)])
-        candidate = (e, r, t) if corrupt_head else (h, r, e)
-        if not store.is_true(*candidate):
-            return candidate
-    logger.warning("classification negative for %s hit the attempt bound", (h, r, t))
-    return candidate
-
-
 def _best_threshold(pos_scores: np.ndarray, neg_scores: np.ndarray,
                     lower_is_better: bool) -> float:
     """Threshold maximizing accuracy, scanned over midpoints of sorted scores.
@@ -207,14 +186,16 @@ def triple_classification(table: EmbeddingTable, store: TripleStore,
     unseen in validation fall back to the pooled global threshold.
     """
     rng = np.random.default_rng(seed)
-    lower = scorer != "quate_inner"
+    lower = lower_is_better(scorer)
+    constraint_mode = "type_constrained" if constraint else "none"
 
     def build_pairs(split: str):
         positives = store.split(split)
         if positives.shape[0] == 0:
             raise ValueError(f"split {split!r} is empty")
-        negatives = np.array([_corrupt_once(store, row, rng, constraint)
-                              for row in positives], dtype=np.int64)
+        negatives = np.array(
+            [train.sample_negatives(store, row, 1, constraint_mode, rng)[0]
+             for row in positives], dtype=np.int64)
         return (positives, score_triples(table, positives, scorer),
                 score_triples(table, negatives, scorer))
 

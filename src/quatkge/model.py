@@ -5,45 +5,39 @@ component-stacked float64 arrays of shape ``(rows, 4, k)``. Relations are
 stored UNnormalized; every scoring path normalizes relation coordinates on
 the fly so that training gradients can flow through the normalization.
 
-Scoring conventions:
+Scoring conventions (``lower_is_better`` is the one place that says which
+direction ranks first):
   * ``quate_d``   - Euclidean distance over all 4k real components between the
                     Hamilton-rotated head and the tail; smaller is better.
-  * ``rotate``    - complex-plane reduction using only the (a, b) components;
-                    smaller is better.
+  * ``rotate``    - ``quate_d`` on the planar (a, b, 0, 0) view: the j and k
+                    components of every gathered row are zero, which reduces
+                    the Hamilton product to a complex product; smaller is
+                    better.
   * ``quate_inner`` - inner product between the rotated head and the tail;
                     larger is better (comparison baseline only).
+
+``score_triples`` scores a batch of triples and ``CandidateScorer`` sweeps
+every entity for one query; both raise ``ZeroQuaternionError`` rather than
+return a score computed from non-finite embeddings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quat
-from .errors import (CheckpointError, DimensionMismatchError, ShapeMismatchError,
-                     ZeroQuaternionError)
-from .quat import EPS_NORM, QuatVec
+from .errors import CheckpointError, ShapeMismatchError, ZeroQuaternionError
 
 SCORERS = ("quate_d", "rotate", "quate_inner")
 
 _MAGIC = b"QKGE"
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Score:
-    """A single triple's plausibility score plus the convention it uses."""
-
-    value: float
-    scorer: str
-
-    @property
-    def lower_is_better(self) -> bool:
-        return self.scorer != "quate_inner"
 
 
 @dataclass
@@ -63,19 +57,9 @@ class EmbeddingTable:
     def n_relations(self) -> int:
         return self.relations.shape[0]
 
-    def entity(self, i: int) -> QuatVec:
-        return QuatVec.from_array(self.entities[i])
-
-    def relation(self, j: int) -> QuatVec:
-        return QuatVec.from_array(self.relations[j])
-
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.entities.copy(), self.relations.copy(),
                               self.k, self.seed)
-
-    def check_finite(self) -> None:
-        if not (np.all(np.isfinite(self.entities)) and np.all(np.isfinite(self.relations))):
-            raise ZeroQuaternionError("embedding table contains non-finite values")
 
 
 def _draw_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
@@ -111,84 +95,41 @@ def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> Emb
     return EmbeddingTable(entities, relations, k, seed)
 
 
-def rotate_head(head: QuatVec, relation: QuatVec) -> QuatVec:
-    """Rotate the head by the per-coordinate normalized relation."""
-    if head.k != relation.k:
-        raise DimensionMismatchError(
-            f"dimension mismatch: head k={head.k}, relation k={relation.k}")
-    return QuatVec.from_array(_rotate(head.as_array(), relation.as_array()))
+def lower_is_better(scorer: str) -> bool:
+    """Whether a smaller score ranks first: True for the two distances."""
+    return scorer != "quate_inner"
 
 
-def _rotate(head: np.ndarray, relation: np.ndarray) -> np.ndarray:
-    return quat.hamilton(head, quat.normalize(relation))
+def _check_scorer(scorer: str) -> None:
+    if scorer not in SCORERS:
+        raise ValueError(f"unknown scorer {scorer!r}")
 
 
-def score_quate_d(table: EmbeddingTable, h: int, r: int, t: int) -> Score:
-    """Distance between the rotated head and the tail over all 4k components."""
-    diff = _rotate(table.entities[h], table.relations[r]) - table.entities[t]
-    return Score(float(np.sqrt(np.sum(diff * diff))), "quate_d")
-
-
-def _complex_rotate(head_ab: np.ndarray, rel_ab: np.ndarray) -> np.ndarray:
-    """Coordinate-wise complex product of (2, k) arrays, relation normalized."""
-    modulus = np.sqrt(rel_ab[0] ** 2 + rel_ab[1] ** 2)
-    if np.any(modulus <= EPS_NORM):
-        raise ZeroQuaternionError("relation has a zero complex coordinate")
-    p, q = rel_ab[0] / modulus, rel_ab[1] / modulus
-    return np.stack([head_ab[0] * p - head_ab[1] * q,
-                     head_ab[0] * q + head_ab[1] * p])
-
-
-def score_rotate(table: EmbeddingTable, h: int, r: int, t: int) -> Score:
-    """Complex-plane distance using only the (a, b) components."""
-    rotated = _complex_rotate(table.entities[h, :2], table.relations[r, :2])
-    diff = rotated - table.entities[t, :2]
-    return Score(float(np.sqrt(np.sum(diff * diff))), "rotate")
-
-
-def score_quate_inner(table: EmbeddingTable, h: int, r: int, t: int) -> Score:
-    """Inner product of the rotated head with the tail (larger is better)."""
-    rotated = _rotate(table.entities[h], table.relations[r])
-    return Score(float(np.sum(rotated * table.entities[t])), "quate_inner")
-
-
-_SCORE_FUNCS = {
-    "quate_d": score_quate_d,
-    "rotate": score_rotate,
-    "quate_inner": score_quate_inner,
-}
+def _planar(rows: np.ndarray) -> np.ndarray:
+    """Copy of component-stacked rows with the j and k components zeroed."""
+    out = rows.copy()
+    out[..., 2:, :] = 0.0
+    return out
 
 
 def score_triples(table: EmbeddingTable, triples, scorer: str = "quate_d") -> np.ndarray:
     """Vectorized scores for an integer triple array of shape (B, 3)."""
+    _check_scorer(scorer)
     arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     heads = table.entities[arr[:, 0]]
     tails = table.entities[arr[:, 2]]
     rels = table.relations[arr[:, 1]]
     if scorer == "rotate":
-        modulus = np.sqrt(rels[:, 0, :] ** 2 + rels[:, 1, :] ** 2)
-        if np.any(modulus <= EPS_NORM):
-            raise ZeroQuaternionError("relation has a zero complex coordinate")
-        p, q = rels[:, 0, :] / modulus, rels[:, 1, :] / modulus
-        re = heads[:, 0, :] * p - heads[:, 1, :] * q - tails[:, 0, :]
-        im = heads[:, 0, :] * q + heads[:, 1, :] * p - tails[:, 1, :]
-        return np.sqrt(np.einsum("bk,bk->b", re, re) + np.einsum("bk,bk->b", im, im))
+        heads, tails, rels = _planar(heads), _planar(tails), _planar(rels)
     rotated = quat.hamilton(heads, quat.normalize(rels))
     if scorer == "quate_inner":
-        return np.einsum("bck,bck->b", rotated, tails)
-    if scorer != "quate_d":
-        raise ValueError(f"unknown scorer {scorer!r}")
-    diff = rotated - tails
-    return np.sqrt(np.einsum("bck,bck->b", diff, diff))
-
-
-def score_triple(table: EmbeddingTable, h: int, r: int, t: int,
-                 scorer: str = "quate_d") -> Score:
-    try:
-        func = _SCORE_FUNCS[scorer]
-    except KeyError:
-        raise ValueError(f"unknown scorer {scorer!r}") from None
-    return func(table, h, r, t)
+        scores = np.einsum("bck,bck->b", rotated, tails)
+    else:
+        diff = rotated - tails
+        scores = np.sqrt(np.einsum("bck,bck->b", diff, diff))
+    if not np.all(np.isfinite(scores)):
+        raise ZeroQuaternionError("non-finite score: the embedding table is not finite")
+    return scores
 
 
 class CandidateScorer:
@@ -198,11 +139,12 @@ class CandidateScorer:
     expansion |x - e|^2 = |x|^2 + |e|^2 - 2<x, e> with cached per-row squared
     norms, so a full sweep costs one matrix-vector product. Head queries use
     the adjoint identity <Q_h (x) w, Q_t> = <Q_h, Q_t (x) conj(w)> for unit w.
+    A ``rotate`` query has zero j and k components, so its sweep reads a table
+    of only the (a, b) columns.
     """
 
     def __init__(self, table: EmbeddingTable, scorer: str = "quate_d"):
-        if scorer not in SCORERS:
-            raise ValueError(f"unknown scorer {scorer!r}")
+        _check_scorer(scorer)
         self.table = table
         self.scorer = scorer
         n = table.n_entities
@@ -211,49 +153,30 @@ class CandidateScorer:
         else:
             self._flat = table.entities.reshape(n, -1)
         self._row_sq = np.einsum("nc,nc->n", self._flat, self._flat)
+        if not (np.all(np.isfinite(self._row_sq))
+                and np.all(np.isfinite(table.relations))):
+            raise ZeroQuaternionError("embedding table contains non-finite values")
 
-    @property
-    def lower_is_better(self) -> bool:
-        return self.scorer != "quate_inner"
+    def _row(self, block: np.ndarray, i: int) -> np.ndarray:
+        return _planar(block[i]) if self.scorer == "rotate" else block[i]
 
-    def _distance_sweep(self, query_vec: np.ndarray) -> np.ndarray:
-        flat = query_vec.ravel()
+    def _sweep(self, query: np.ndarray) -> np.ndarray:
+        if self.scorer == "quate_inner":
+            return self._flat @ query.ravel()
+        flat = query[:2].ravel() if self.scorer == "rotate" else query.ravel()
         d_sq = self._row_sq + flat @ flat - 2.0 * (self._flat @ flat)
         return np.sqrt(np.clip(d_sq, 0.0, None))
 
     def all_tails(self, h: int, r: int) -> np.ndarray:
         """Score (h, r, t) for every t; shape (N,)."""
-        table = self.table
-        if self.scorer == "rotate":
-            rotated = _complex_rotate(table.entities[h, :2], table.relations[r, :2])
-            return self._distance_sweep(rotated)
-        rotated = _rotate(table.entities[h], table.relations[r])
-        if self.scorer == "quate_inner":
-            return self._flat @ rotated.ravel()
-        return self._distance_sweep(rotated)
+        unit_rel = quat.normalize(self._row(self.table.relations, r))
+        return self._sweep(quat.hamilton(self._row(self.table.entities, h), unit_rel))
 
     def all_heads(self, r: int, t: int) -> np.ndarray:
         """Score (h, r, t) for every h; shape (N,)."""
-        table = self.table
-        if self.scorer == "rotate":
-            rel = table.relations[r, :2]
-            pulled = _complex_rotate(table.entities[t, :2], np.stack([rel[0], -rel[1]]))
-            return self._distance_sweep(pulled)
-        unit_rel = quat.normalize(table.relations[r])
-        pulled = quat.hamilton(table.entities[t], quat.conjugate(unit_rel))
-        if self.scorer == "quate_inner":
-            return self._flat @ pulled.ravel()
-        return self._distance_sweep(pulled)
-
-
-def score_all_tails(table: EmbeddingTable, h: int, r: int,
-                    scorer: str = "quate_d") -> np.ndarray:
-    return CandidateScorer(table, scorer).all_tails(h, r)
-
-
-def score_all_heads(table: EmbeddingTable, r: int, t: int,
-                    scorer: str = "quate_d") -> np.ndarray:
-    return CandidateScorer(table, scorer).all_heads(r, t)
+        unit_rel = quat.normalize(self._row(self.table.relations, r))
+        return self._sweep(quat.hamilton(self._row(self.table.entities, t),
+                                         quat.conjugate(unit_rel)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,37 +206,56 @@ def save_checkpoint(table: EmbeddingTable, path, scorer: str = "quate_d",
                 handle.write(np.ascontiguousarray(block[:, component, :], dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    if raw[:4] != _MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, header_len = struct.unpack("<II", raw[4:12])
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    try:
-        meta = json.loads(raw[12:12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
-    n, m, k = meta["n_entities"], meta["n_relations"], meta["k"]
-    offset = 12 + header_len
-    expected = (n + m) * 4 * k * 8
-    if len(raw) - offset != expected:
+def _header_int(meta: dict, key: str, minimum: int, path) -> int:
+    value = meta.get(key)
+    if type(value) is not int or value < minimum:
         raise CheckpointError(
-            f"{path}: payload is {len(raw) - offset} bytes, expected {expected}")
+            f"{path}: header field {key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
 
-    def read_block(rows: int, at: int) -> tuple[np.ndarray, int]:
-        parts = []
-        for _ in range(4):
-            arr = np.frombuffer(raw, dtype="<f8", count=rows * k, offset=at)
-            parts.append(arr.astype(np.float64).reshape(rows, k))
-            at += rows * k * 8
-        return np.stack(parts, axis=1), at
 
-    entities, offset = read_block(n, offset)
-    relations, _ = read_block(m, offset)
-    table = EmbeddingTable(entities, relations, k, meta["seed"])
-    return table, meta
+def _read_block(handle, rows: int, k: int) -> np.ndarray:
+    """Read four (rows, k) component blocks into one (rows, 4, k) table."""
+    block = np.empty((rows, 4, k), dtype=np.float64)
+    component = np.empty((rows, k), dtype="<f8")
+    for c in range(4):
+        handle.readinto(component)
+        block[:, c, :] = component
+    return block
+
+
+def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
+    """Read a checkpoint; any malformed content raises CheckpointError.
+
+    The table is read block by block into preallocated arrays, so peak memory
+    is the table plus one component block.
+    """
+    with open(path, "rb") as handle:
+        prefix = handle.read(12)
+        if prefix[:4] != _MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        if len(prefix) < 12:
+            raise CheckpointError(f"{path}: truncated header")
+        version, header_len = struct.unpack("<II", prefix[4:])
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        try:
+            meta = json.loads(handle.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+            raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: metadata is not a JSON object")
+        n, m, k = (_header_int(meta, key, 1, path)
+                   for key in ("n_entities", "n_relations", "k"))
+        seed = _header_int(meta, "seed", 0, path)
+        payload = os.fstat(handle.fileno()).st_size - (12 + header_len)
+        expected = (n + m) * 4 * k * 8
+        if payload != expected:
+            raise CheckpointError(
+                f"{path}: payload is {payload} bytes, expected {expected}")
+        entities = _read_block(handle, n, k)
+        relations = _read_block(handle, m, k)
+    return EmbeddingTable(entities, relations, k, seed), meta
 
 
 def check_table_matches_store(table: EmbeddingTable, n_entities: int,

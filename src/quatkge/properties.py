@@ -218,10 +218,11 @@ def check_composition(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
 
 def check_rotate_reduction(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
                            rng=0, planar: bool = True) -> PropertyVerdict:
-    """With c = d = 0 the distance scorer equals the complex-plane scorer.
+    """With c = d = 0 the distance scorer equals the complex-plane distance.
 
-    Scores random triples from a random table whose j/k components are zeroed.
-    `planar=False` keeps them and is the negative control.
+    Scores random triples from a random table whose j/k components are zeroed
+    and compares with a complex128 computation on the (a, b) components.
+    `planar=False` keeps the j/k components and is the negative control.
     """
     gen = _rng(rng)
     n_entities, n_relations = 64, 8
@@ -234,7 +235,10 @@ def check_rotate_reduction(trials: int, k: int, tolerance: float = DEFAULT_TOLER
                         gen.integers(n_relations, size=trials),
                         gen.integers(n_entities, size=trials)], axis=1)
     full = score_triples(table, triples, "quate_d")
-    planar_scores = score_triples(table, triples, "rotate")
+    ent = table.entities[:, 0, :] + 1j * table.entities[:, 1, :]
+    rel = table.relations[:, 0, :] + 1j * table.relations[:, 1, :]
+    rotated = ent[triples[:, 0]] * (rel / np.abs(rel))[triples[:, 1]]
+    planar_scores = np.linalg.norm(rotated - ent[triples[:, 2]], axis=1)
     gaps = np.abs(full - planar_scores)
     worst = int(np.argmax(gaps))
     return PropertyVerdict(

@@ -1,10 +1,10 @@
-"""Quaternion algebra over scalars and over k-coordinate quaternion vectors.
+"""Quaternion algebra: array functions plus a scalar reference class.
 
-Two layers are provided on purpose. ``Quaternion`` is a plain-float scalar
-implementation that serves as the reference path; the array functions at the
-bottom operate on component-stacked ndarrays (shape ``(..., 4, k)``, component
-axis at ``-2`` ordered real, i, j, k) and are what the model and training code
-call. Tests cross-check the two layers against each other.
+The array functions at the bottom operate on component-stacked ndarrays
+(shape ``(..., 4, k)``, component axis at ``-2`` ordered real, i, j, k); a
+``(4, k)`` array is one k-coordinate quaternion vector. They are the only
+algebra the model and training code call. ``Quaternion`` is a plain-float
+scalar implementation that the tests use as an independent reference.
 
 All arithmetic is in 64-bit floats. Quaternions with magnitude at or below
 ``EPS_NORM`` cannot be normalized and raise ``ZeroQuaternionError``.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroQuaternionError
+from .errors import ZeroQuaternionError
 
 EPS_NORM = 1e-12
 
@@ -105,110 +105,6 @@ Quaternion.ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 Quaternion.I = Quaternion(0.0, 1.0, 0.0, 0.0)
 Quaternion.J = Quaternion(0.0, 0.0, 1.0, 0.0)
 Quaternion.K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def _as_component(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"component must be 1-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("QuatVec components must be finite")
-    return arr
-
-
-@dataclass(frozen=True)
-class QuatVec:
-    """A k-coordinate quaternion vector: four real arrays of equal length k.
-
-    Coordinate i is the scalar quaternion (a[i], b[i], c[i], d[i]); every
-    operation below acts coordinate-wise.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_component(self.a))
-        object.__setattr__(self, "b", _as_component(self.b))
-        object.__setattr__(self, "c", _as_component(self.c))
-        object.__setattr__(self, "d", _as_component(self.d))
-        k = self.a.shape[0]
-        if k < 1:
-            raise DimensionMismatchError("QuatVec needs at least one coordinate")
-        for name in ("b", "c", "d"):
-            if getattr(self, name).shape[0] != k:
-                raise DimensionMismatchError(
-                    f"component '{name}' has length {getattr(self, name).shape[0]}, expected {k}")
-
-    @property
-    def k(self) -> int:
-        return self.a.shape[0]
-
-    @classmethod
-    def from_array(cls, parts: np.ndarray) -> "QuatVec":
-        """Build from a component-stacked (4, k) array."""
-        parts = np.asarray(parts, dtype=np.float64)
-        if parts.ndim != 2 or parts.shape[0] != 4:
-            raise DimensionMismatchError(f"expected shape (4, k), got {parts.shape}")
-        return cls(parts[0], parts[1], parts[2], parts[3])
-
-    def as_array(self) -> np.ndarray:
-        """Component-stacked (4, k) copy."""
-        return np.stack([self.a, self.b, self.c, self.d])
-
-    def coordinate(self, i: int) -> Quaternion:
-        return Quaternion(float(self.a[i]), float(self.b[i]),
-                          float(self.c[i]), float(self.d[i]))
-
-    def _check_k(self, other: "QuatVec") -> None:
-        if self.k != other.k:
-            raise DimensionMismatchError(f"dimension mismatch: {self.k} vs {other.k}")
-
-    def __add__(self, other: "QuatVec") -> "QuatVec":
-        if not isinstance(other, QuatVec):
-            return NotImplemented
-        self._check_k(other)
-        return QuatVec(self.a + other.a, self.b + other.b,
-                       self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "QuatVec") -> "QuatVec":
-        if not isinstance(other, QuatVec):
-            return NotImplemented
-        self._check_k(other)
-        return QuatVec(self.a - other.a, self.b - other.b,
-                       self.c - other.c, self.d - other.d)
-
-    def __mul__(self, other):
-        if isinstance(other, QuatVec):
-            return self.hamilton(other)
-        return NotImplemented
-
-    def hamilton(self, other: "QuatVec") -> "QuatVec":
-        """Coordinate-wise Hamilton product (element-wise across coordinates)."""
-        self._check_k(other)
-        return QuatVec.from_array(hamilton(self.as_array(), other.as_array()))
-
-    def conjugate(self) -> "QuatVec":
-        return QuatVec(self.a, -self.b, -self.c, -self.d)
-
-    def norm_sq(self) -> np.ndarray:
-        """Per-coordinate squared magnitude, shape (k,)."""
-        return self.a**2 + self.b**2 + self.c**2 + self.d**2
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(self.norm_sq())
-
-    def dot(self, other: "QuatVec") -> np.ndarray:
-        """Per-coordinate dot product, shape (k,)."""
-        self._check_k(other)
-        return (self.a * other.a + self.b * other.b
-                + self.c * other.c + self.d * other.d)
-
-    def normalize(self, eps: float = EPS_NORM) -> "QuatVec":
-        """Normalize every coordinate quaternion to unit magnitude."""
-        return QuatVec.from_array(normalize(self.as_array(), eps))
 
 
 # ---------------------------------------------------------------------------

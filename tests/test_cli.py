@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,29 @@ class TestEvalCommand:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_nan_entity_is_numeric_error(self, dataset_dir, tmp_path, capsys):
+        store = load_dataset(*(dataset_dir / f"{s}.txt"
+                               for s in ("train", "valid", "test")))
+        broken = init_embeddings(store.n_entities, store.n_relations, 4, seed=0)
+        broken.entities[5, 0, 1] = np.nan
+        path = tmp_path / "nan.bin"
+        save_checkpoint(broken, path)
+        code = main(["eval", "--checkpoint", str(path), *data_flags(dataset_dir)])
+        assert code == 3
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [
+        b"QKGE\x01",
+        b"QKGE" + struct.pack("<II", 1, 8) + b'{"k": 4}',
+    ], ids=["five_bytes", "no_n_entities"])
+    def test_malformed_checkpoint_is_data_error(self, dataset_dir, tmp_path,
+                                                capsys, raw):
+        path = tmp_path / "malformed.bin"
+        path.write_bytes(raw)
+        code = main(["eval", "--checkpoint", str(path), *data_flags(dataset_dir)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_report_written(self, dataset_dir, trained, tmp_path):
@@ -238,8 +263,11 @@ class TestExportCurves:
             save_checkpoint(table, path)
             paths.append(str(path))
         out = tmp_path / "curves"
+        malformed = tmp_path / "malformed.bin"
+        malformed.write_bytes(b"QKGE\x01")
         code = main(["export-curves", "--checkpoints", *paths,
-                     str(tmp_path / "missing.bin"), *data_flags(dataset_dir),
+                     str(tmp_path / "missing.bin"), str(malformed),
+                     *data_flags(dataset_dir),
                      "--out", str(out), "--seed", "2"])
         assert code == 0
         captured = capsys.readouterr()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quatkge.data import HEAD, TAIL
+from quatkge.errors import ZeroQuaternionError
 from quatkge.evaluation import (link_prediction, per_relation_mrr, rank_entity,
                                 triple_classification)
 from quatkge.evaluation import _best_threshold, _mean_rank
-from quatkge.model import init_embeddings, score_quate_d
+from quatkge.model import EmbeddingTable, init_embeddings
 
 from conftest import make_store, random_store
 import oracles
@@ -73,9 +77,9 @@ class TestRankEntity:
                         got = rank_entity(table, store, (h, r, t), position, mode)
                         ids = oracles.candidate_ids(store, (h, r, t), position,
                                                     mode, False)
-                        scored = {e: (score_quate_d(table, h, r, e).value
+                        scored = {e: (oracles.reference_score(table, h, r, e)
                                       if position == TAIL
-                                      else score_quate_d(table, e, r, t).value)
+                                      else oracles.reference_score(table, e, r, t))
                                   for e in ids}
                         assert got == oracles.sort_rank(scored, gold)
 
@@ -261,3 +265,72 @@ class TestTripleClassification:
         assert set(report.thresholds) == {int(r) for r in store.valid[:, 1]}
         assert np.isfinite(report.global_threshold)
         assert all(np.isfinite(v) for v in report.thresholds.values())
+
+
+class TestNonFiniteTable:
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    def test_link_prediction_raises(self, fixture50, scorer):
+        store, table = fixture50
+        table.entities[int(store.test[0, 2]), 0, 0] = np.nan
+        with pytest.raises(ZeroQuaternionError):
+            link_prediction(table, store, mode="filtered", scorer=scorer)
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    def test_triple_classification_raises(self, fixture50, scorer):
+        store, table = fixture50
+        table.entities[int(store.valid[0, 0]), 1, 0] = np.inf
+        with pytest.raises(ZeroQuaternionError):
+            triple_classification(table, store, scorer=scorer)
+
+
+def tied_instance(n_entities=6, n_relations=2, k=2):
+    """Strategy for (table, store) pairs whose scores tie often.
+
+    Entity components are drawn from {-1, 0, 1} and relation components from
+    {-1, 1}, so many candidates sit at exactly the same distance.
+    """
+    triple = st.tuples(st.integers(0, n_entities - 1),
+                       st.integers(0, n_relations - 1),
+                       st.integers(0, n_entities - 1))
+    entities = arrays(np.float64, (n_entities, 4, k),
+                      elements=st.sampled_from([-1.0, 0.0, 1.0]))
+    relations = arrays(np.float64, (n_relations, 4, k),
+                       elements=st.sampled_from([-1.0, 1.0]))
+
+    def build(args):
+        train, test, ent, rel = args
+        raw = lambda triples: [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples]
+        # every entity and relation appears in train, so ids match table rows
+        pad = [(f"e{i}", f"r{i % n_relations}", f"e{i}") for i in range(n_entities)]
+        store = make_store(pad + raw(train), [], raw(test))
+        order_e = [store.entity_ids[f"e{i}"] for i in range(n_entities)]
+        order_r = [store.relation_ids[f"r{i}"] for i in range(n_relations)]
+        table = EmbeddingTable(np.empty_like(ent), np.empty_like(rel), k, 0)
+        table.entities[order_e] = ent
+        table.relations[order_r] = rel
+        return table, store
+
+    return st.tuples(st.lists(triple, max_size=8), st.lists(triple, min_size=1, max_size=4),
+                     entities, relations).map(build)
+
+
+class TestRankInvariants:
+    @settings(max_examples=30, deadline=None)
+    @given(instance=tied_instance(),
+           scorer=st.sampled_from(["quate_d", "rotate", "quate_inner"]),
+           constraint=st.booleans())
+    def test_ranks_bounded_and_filter_never_hurts(self, instance, scorer, constraint):
+        table, store = instance
+        for triple in store.test:
+            h, r, t = (int(x) for x in triple)
+            for position in (TAIL, HEAD):
+                raw = rank_entity(table, store, (h, r, t), position, "raw",
+                                  constraint, scorer)
+                filtered = rank_entity(table, store, (h, r, t), position,
+                                       "filtered", constraint, scorer)
+                assert 1.0 <= filtered <= raw <= store.n_entities
+        for mode in ("raw", "filtered"):
+            report = link_prediction(table, store, mode, constraint, scorer)
+            assert report.mr >= 1.0
+            assert 0.0 < report.mrr <= 1.0
+            assert all(0.0 <= v <= 1.0 for v in report.hits.values())

@@ -1,17 +1,29 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatkge import quat
-from quatkge.errors import (CheckpointError, DimensionMismatchError,
-                            ShapeMismatchError, ZeroQuaternionError)
+from quatkge.errors import CheckpointError, ShapeMismatchError, ZeroQuaternionError
 from quatkge.model import (CandidateScorer, check_table_matches_store,
-                           init_embeddings, load_checkpoint, rotate_head,
-                           save_checkpoint, score_all_heads, score_all_tails,
-                           score_quate_d, score_quate_inner, score_rotate,
+                           init_embeddings, load_checkpoint, save_checkpoint,
                            score_triples)
-from quatkge.quat import QuatVec
+
+from oracles import reference_score
+
+
+def score(table, h, r, t, scorer="quate_d"):
+    """One triple's score through the batch scorer."""
+    return float(score_triples(table, [(h, r, t)], scorer)[0])
+
+
+def rotate_by(head, relation):
+    """Rotate a (4, k) head by the per-coordinate normalized relation."""
+    return quat.hamilton(head, quat.normalize(relation))
 
 
 class TestInit:
@@ -50,74 +62,66 @@ class TestInit:
 class TestRotateHead:
     def test_identity_relation(self):
         rng = np.random.default_rng(5)
-        head = QuatVec.from_array(rng.standard_normal((4, 6)))
-        identity = QuatVec(np.ones(6), np.zeros(6), np.zeros(6), np.zeros(6))
-        np.testing.assert_allclose(rotate_head(head, identity).as_array(),
-                                   head.as_array(), rtol=1e-15)
+        head = rng.standard_normal((4, 6))
+        identity = np.stack([np.ones(6), np.zeros(6), np.zeros(6), np.zeros(6)])
+        np.testing.assert_allclose(rotate_by(head, identity), head, rtol=1e-15)
 
     def test_k1_pure_i_rotation(self):
-        head = QuatVec.from_array(np.array([[1.0], [2.0], [3.0], [4.0]]))
-        rel = QuatVec.from_array(np.array([[0.0], [1.0], [0.0], [0.0]]))
-        np.testing.assert_allclose(rotate_head(head, rel).as_array().ravel(),
+        head = np.array([[1.0], [2.0], [3.0], [4.0]])
+        rel = np.array([[0.0], [1.0], [0.0], [0.0]])
+        np.testing.assert_allclose(rotate_by(head, rel).ravel(),
                                    [-2.0, 1.0, 4.0, -3.0], atol=1e-15)
 
     def test_magnitude_preserved(self):
         rng = np.random.default_rng(6)
-        head = QuatVec.from_array(rng.standard_normal((4, 32)))
-        rel = QuatVec.from_array(rng.standard_normal((4, 32)))
-        rotated = rotate_head(head, rel)
-        np.testing.assert_allclose(rotated.magnitude(), head.magnitude(), rtol=1e-9)
+        head = rng.standard_normal((4, 32))
+        rel = rng.standard_normal((4, 32))
+        rotated = rotate_by(head, rel)
+        np.testing.assert_allclose(quat.magnitude(rotated), quat.magnitude(head),
+                                   rtol=1e-9)
 
     def test_relation_scale_irrelevant(self):
         rng = np.random.default_rng(7)
-        head = QuatVec.from_array(rng.standard_normal((4, 4)))
+        head = rng.standard_normal((4, 4))
         rel = rng.standard_normal((4, 4))
-        np.testing.assert_allclose(
-            rotate_head(head, QuatVec.from_array(rel)).as_array(),
-            rotate_head(head, QuatVec.from_array(3.5 * rel)).as_array(),
-            rtol=1e-12)
+        np.testing.assert_allclose(rotate_by(head, rel),
+                                   rotate_by(head, 3.5 * rel), rtol=1e-12)
 
     def test_zero_relation_coordinate(self):
-        head = QuatVec.from_array(np.ones((4, 2)))
+        head = np.ones((4, 2))
         rel = np.ones((4, 2))
         rel[:, 1] = 0.0
         with pytest.raises(ZeroQuaternionError):
-            rotate_head(head, QuatVec.from_array(rel))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            rotate_head(QuatVec.from_array(np.ones((4, 2))),
-                        QuatVec.from_array(np.ones((4, 3))))
+            rotate_by(head, rel)
 
 
 def planted_table(rng, n=6, m=2, k=4):
     """Random table where triple (0, 0, 1) fits exactly."""
     table = init_embeddings(n, m, k, seed=int(rng.integers(2**31)))
-    rotated = rotate_head(table.entity(0), table.relation(0))
-    table.entities[1] = rotated.as_array()
+    table.entities[1] = rotate_by(table.entities[0], table.relations[0])
     return table
 
 
 class TestScorers:
     def test_quate_d_perfect_fit(self):
         table = planted_table(np.random.default_rng(8))
-        assert score_quate_d(table, 0, 0, 1).value == pytest.approx(0.0, abs=1e-12)
+        assert score(table, 0, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_quate_d_known_value(self):
         table = init_embeddings(3, 1, 1, seed=0)
         table.entities[0] = [[1.0], [2.0], [3.0], [4.0]]
         table.entities[1] = [[0.0], [0.0], [0.0], [0.0]]
         table.relations[0] = [[0.0], [1.0], [0.0], [0.0]]
-        assert score_quate_d(table, 0, 0, 1).value == pytest.approx(math.sqrt(30))
+        assert score(table, 0, 0, 1) == pytest.approx(math.sqrt(30))
 
     def test_quate_d_coordinate_permutation_invariant(self):
         rng = np.random.default_rng(9)
         table = init_embeddings(4, 2, 8, seed=21)
-        baseline = score_quate_d(table, 0, 1, 2).value
+        baseline = score(table, 0, 1, 2)
         perm = rng.permutation(8)
         table.entities = table.entities[:, :, perm]
         table.relations = table.relations[:, :, perm]
-        assert score_quate_d(table, 0, 1, 2).value == pytest.approx(baseline, rel=1e-12)
+        assert score(table, 0, 1, 2) == pytest.approx(baseline, rel=1e-12)
 
     def test_rotate_identity_relation(self):
         table = init_embeddings(3, 1, 4, seed=10)
@@ -125,46 +129,49 @@ class TestScorers:
         table.relations[0, 1:, :] = 0.0
         expected = np.sqrt(np.sum(
             (table.entities[0, :2] - table.entities[1, :2]) ** 2))
-        assert score_rotate(table, 0, 0, 1).value == pytest.approx(expected, rel=1e-12)
+        assert score(table, 0, 0, 1, "rotate") == pytest.approx(expected, rel=1e-12)
 
     def test_rotate_reduction_on_planar_embeddings(self):
         rng = np.random.default_rng(11)
         table = init_embeddings(30, 4, 6, seed=12)
         table.entities[:, 2:, :] = 0.0
         table.relations[:, 2:, :] = 0.0
+        triples = []
         for _ in range(1000):
             h, t = rng.integers(30, size=2)
             r = rng.integers(4)
-            d = score_quate_d(table, h, r, t).value
-            c = score_rotate(table, h, r, t).value
-            assert abs(d - c) < 1e-9
+            triples.append((h, r, t))
+        full = score_triples(table, triples, "quate_d")
+        planar = score_triples(table, triples, "rotate")
+        for (h, r, t), d, c in zip(triples, full, planar):
+            expected = reference_score(table, h, r, t, "rotate")
+            assert abs(d - expected) < 1e-9
+            assert abs(c - expected) < 1e-9
 
     def test_rotate_perfect_fit(self):
         table = init_embeddings(3, 1, 4, seed=13)
         table.entities[0, 2:, :] = 0.0
         table.relations[0, 2:, :] = 0.0
-        rotated = quat.hamilton(table.entities[0],
-                                quat.normalize(table.relations[0]))
-        table.entities[1] = rotated
-        assert score_rotate(table, 0, 0, 1).value == pytest.approx(0.0, abs=1e-12)
+        table.entities[1] = rotate_by(table.entities[0], table.relations[0])
+        assert score(table, 0, 0, 1, "rotate") == pytest.approx(0.0, abs=1e-12)
 
     def test_rotate_zero_complex_coordinate(self):
         table = init_embeddings(3, 1, 2, seed=14)
         table.relations[0, :2, 0] = 0.0
         with pytest.raises(ZeroQuaternionError):
-            score_rotate(table, 0, 0, 1)
+            score(table, 0, 0, 1, "rotate")
 
     def test_inner_planted_tail_gives_norm(self):
         table = planted_table(np.random.default_rng(15))
         expected = float(np.sum(table.entities[1] ** 2))
-        assert score_quate_inner(table, 0, 0, 1).value == pytest.approx(expected, rel=1e-12)
+        assert score(table, 0, 0, 1, "quate_inner") == pytest.approx(expected, rel=1e-12)
 
     def test_inner_identity_relation(self):
         table = init_embeddings(4, 1, 5, seed=16)
         table.relations[0, 0, :] = 1.0
         table.relations[0, 1:, :] = 0.0
         expected = float(np.sum(table.entities[0] * table.entities[2]))
-        assert score_quate_inner(table, 0, 0, 2).value == pytest.approx(expected, rel=1e-12)
+        assert score(table, 0, 0, 2, "quate_inner") == pytest.approx(expected, rel=1e-12)
 
     def test_inner_known_value(self):
         table = init_embeddings(3, 1, 1, seed=17)
@@ -172,36 +179,36 @@ class TestScorers:
         table.entities[1] = [[1.0], [1.0], [1.0], [1.0]]
         table.relations[0] = [[0.0], [1.0], [0.0], [0.0]]
         # rotated head is (-2, 1, 4, -3); dot with all-ones is 0
-        assert score_quate_inner(table, 0, 0, 1).value == pytest.approx(0.0, abs=1e-12)
+        assert score(table, 0, 0, 1, "quate_inner") == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCandidateSweeps:
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     def test_matches_scalar_path(self, scorer):
         table = init_embeddings(3, 2, 4, seed=18)
-        tails = score_all_tails(table, 0, 1, scorer)
-        heads = score_all_heads(table, 1, 2, scorer)
+        sweeps = CandidateScorer(table, scorer)
+        tails = sweeps.all_tails(0, 1)
+        heads = sweeps.all_heads(1, 2)
         assert tails.shape == (3,) and heads.shape == (3,)
         for t in range(3):
-            expected = score_triples(table, [(0, 1, t)], scorer)[0]
+            expected = reference_score(table, 0, 1, t, scorer)
             assert abs(tails[t] - expected) < 1e-12
         for h in range(3):
-            expected = score_triples(table, [(h, 1, 2)], scorer)[0]
+            expected = reference_score(table, h, 1, 2, scorer)
             assert abs(heads[h] - expected) < 1e-12
 
     def test_score_triples_matches_single(self):
         table = init_embeddings(5, 2, 3, seed=19)
         batch = [(0, 0, 1), (2, 1, 3), (4, 0, 0)]
-        for scorer, single in (("quate_d", score_quate_d),
-                               ("rotate", score_rotate),
-                               ("quate_inner", score_quate_inner)):
+        for scorer in ("quate_d", "rotate", "quate_inner"):
             values = score_triples(table, batch, scorer)
             for row, (h, r, t) in zip(values, batch):
-                assert row == pytest.approx(single(table, h, r, t).value, abs=1e-12)
+                assert row == pytest.approx(reference_score(table, h, r, t, scorer),
+                                            abs=1e-12)
 
     def test_planted_tail_attains_minimum(self):
         table = planted_table(np.random.default_rng(20))
-        scores = score_all_tails(table, 0, 0)
+        scores = CandidateScorer(table).all_tails(0, 0)
         assert int(np.argmin(scores)) == 1
 
     def test_larger_sweep_tolerance(self):
@@ -209,8 +216,32 @@ class TestCandidateSweeps:
         scorer = CandidateScorer(table, "quate_d")
         scores = scorer.all_tails(5, 2)
         for t in (0, 17, 63, 119):
-            expected = score_quate_d(table, 5, 2, t).value
+            expected = reference_score(table, 5, 2, t)
             assert abs(scores[t] - expected) < 1e-12
+
+
+class TestNonFinite:
+    """A table with a NaN or an infinity must not yield scores."""
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_entity_row(self, scorer, bad):
+        table = init_embeddings(4, 2, 3, seed=27)
+        table.entities[2, 1, 0] = bad
+        with pytest.raises(ZeroQuaternionError):
+            CandidateScorer(table, scorer)
+        with pytest.raises(ZeroQuaternionError):
+            score_triples(table, [(0, 0, 1), (2, 1, 3)], scorer)
+        assert np.isfinite(score_triples(table, [(0, 0, 1)], scorer)).all()
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    def test_relation_row(self, scorer):
+        table = init_embeddings(4, 2, 3, seed=28)
+        table.relations[1, 0, 2] = np.nan
+        with pytest.raises(ZeroQuaternionError):
+            CandidateScorer(table, scorer)
+        with pytest.raises(ZeroQuaternionError):
+            score_triples(table, [(0, 1, 1)], scorer)
 
 
 class TestModelInvariants:
@@ -239,8 +270,8 @@ class TestModelInvariants:
         table.relations[0, 0, :] = np.abs(table.relations[0, 0, :]) + 0.1
         for _ in range(100):
             h, t = self.rng.integers(40, size=2)
-            assert (score_quate_d(table, h, 0, t).value
-                    == pytest.approx(score_quate_d(table, t, 0, h).value, abs=1e-9))
+            assert (score(table, h, 0, t)
+                    == pytest.approx(score(table, t, 0, h), abs=1e-9))
 
     def test_antisymmetry_with_imaginary_relation(self):
         table = self.table
@@ -251,8 +282,7 @@ class TestModelInvariants:
                 separated += 1
                 continue
             r = self.rng.integers(6)
-            gap = abs(score_quate_d(table, h, r, t).value
-                      - score_quate_d(table, t, r, h).value)
+            gap = abs(score(table, h, r, t) - score(table, t, r, h))
             separated += gap > 1e-6
         assert separated >= 990
 
@@ -308,3 +338,104 @@ class TestCheckpoint:
         check_table_matches_store(table, 4, 2)
         with pytest.raises(ShapeMismatchError):
             check_table_matches_store(table, 5, 2)
+
+    def test_short_file(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"QKGE\x01")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [
+        {"n_entities": None}, {"n_relations": None}, {"k": None}, {"seed": None},
+        {"n_entities": 0}, {"k": -1}, {"n_relations": "2"}, {"k": 3.0},
+        {"k": True}, {"seed": -1}, {"seed": "24"},
+    ], ids=lambda change: ",".join(f"{k}={v!r}" for k, v in change.items()))
+    def test_bad_header_field(self, tmp_path, change):
+        table = init_embeddings(4, 2, 3, seed=24)
+        meta = header_of(table)
+        for key, value in change.items():
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
+        path = tmp_path / "bad.bin"
+        path.write_bytes(with_header(table, json.dumps(meta).encode()))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"[1, 2]", b"7", b"{", b"\xff\xfe"])
+    def test_header_not_object(self, tmp_path, header):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(with_header(init_embeddings(4, 2, 3, seed=24), header))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def header_of(table) -> dict:
+    return {"config_hash": "", "format_version": 1, "k": table.k,
+            "n_entities": table.n_entities, "n_relations": table.n_relations,
+            "scorer": "quate_d", "seed": table.seed}
+
+
+def with_header(table, header: bytes) -> bytes:
+    """A checkpoint of `table` whose JSON header is replaced by `header`."""
+    payload = b"".join(
+        np.ascontiguousarray(block[:, c, :], dtype="<f8").tobytes()
+        for block in (table.entities, table.relations) for c in range(4))
+    return b"QKGE" + struct.pack("<II", 1, len(header)) + header + payload
+
+
+def checkpoint_bytes(n, m, k, seed) -> bytes:
+    table = init_embeddings(n, m, k, seed=seed)
+    return with_header(table, json.dumps(header_of(table)).encode())
+
+
+def load_or_reject(tmp_path_factory, raw: bytes) -> None:
+    """Loading arbitrary bytes gives a consistent table or CheckpointError."""
+    path = tmp_path_factory.mktemp("fuzz") / "ck.bin"
+    path.write_bytes(raw)
+    try:
+        table, meta = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert table.entities.shape == (meta["n_entities"], 4, meta["k"])
+    assert table.relations.shape == (meta["n_relations"], 4, meta["k"])
+    assert table.k == meta["k"] and table.seed == meta["seed"]
+
+
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+class TestCheckpointFuzz:
+    @FUZZ
+    @given(raw=st.binary(max_size=200))
+    def test_random_bytes(self, tmp_path_factory, raw):
+        load_or_reject(tmp_path_factory, raw)
+
+    @FUZZ
+    @given(raw=st.binary(max_size=200))
+    def test_random_bytes_after_magic(self, tmp_path_factory, raw):
+        load_or_reject(tmp_path_factory, b"QKGE" + raw)
+
+    @FUZZ
+    @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)),
+           data=st.data())
+    def test_truncated(self, tmp_path_factory, dims, data):
+        raw = checkpoint_bytes(*dims, seed=5)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path = tmp_path_factory.mktemp("fuzz") / "ck.bin"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @FUZZ
+    @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)),
+           data=st.data())
+    def test_byte_flipped(self, tmp_path_factory, dims, data):
+        raw = bytearray(checkpoint_bytes(*dims, seed=5))
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                             st.integers(1, 255)),
+                                   min_size=1, max_size=4))
+        for at, mask in flips:
+            raw[at] ^= mask
+        load_or_reject(tmp_path_factory, bytes(raw))

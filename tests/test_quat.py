@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from quatkge import quat
-from quatkge.errors import DimensionMismatchError, ZeroQuaternionError
-from quatkge.quat import Quaternion, QuatVec
+from quatkge.errors import ZeroQuaternionError
+from quatkge.quat import Quaternion
 
 
 class TestScalarOps:
@@ -97,63 +97,56 @@ class TestBasisTable:
 
 
 class TestQuatVec:
-    def test_component_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            QuatVec(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3))
+    """k-coordinate quaternion vectors: (4, k) arrays in the array layer."""
+
+    @staticmethod
+    def coordinate(v, i):
+        return Quaternion(*(float(x) for x in v[:, i]))
 
     def test_k1_reduces_to_scalar(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(4)
         y = rng.standard_normal(4)
-        vx = QuatVec(*(np.array([c]) for c in x))
-        vy = QuatVec(*(np.array([c]) for c in y))
+        vx, vy = x.reshape(4, 1), y.reshape(4, 1)
         sx, sy = Quaternion(*x), Quaternion(*y)
-        np.testing.assert_allclose((vx * vy).as_array()[:, 0],
+        np.testing.assert_allclose(quat.hamilton(vx, vy)[:, 0],
                                    (sx * sy).as_tuple(), rtol=1e-15)
-        np.testing.assert_allclose(vx.dot(vy)[0], sx.dot(sy), rtol=1e-15)
-        np.testing.assert_allclose(vx.magnitude()[0], sx.magnitude(), rtol=1e-15)
+        np.testing.assert_allclose(quat.dot(vx, vy)[0], sx.dot(sy), rtol=1e-15)
+        np.testing.assert_allclose(quat.magnitude(vx)[0], sx.magnitude(), rtol=1e-15)
 
     def test_hamilton_identity_vec(self):
         rng = np.random.default_rng(4)
-        v = QuatVec.from_array(rng.standard_normal((4, 5)))
-        one = QuatVec(np.ones(5), np.zeros(5), np.zeros(5), np.zeros(5))
-        np.testing.assert_array_equal((one * v).as_array(), v.as_array())
+        v = rng.standard_normal((4, 5))
+        one = np.stack([np.ones(5), np.zeros(5), np.zeros(5), np.zeros(5)])
+        np.testing.assert_array_equal(quat.hamilton(one, v), v)
 
     def test_hamilton_matches_scalar_per_coordinate(self):
         rng = np.random.default_rng(5)
-        vx = QuatVec.from_array(rng.standard_normal((4, 3)))
-        vy = QuatVec.from_array(rng.standard_normal((4, 3)))
-        product = vx * vy
+        vx = rng.standard_normal((4, 3))
+        vy = rng.standard_normal((4, 3))
+        product = quat.hamilton(vx, vy)
         for i in range(3):
-            expected = vx.coordinate(i) * vy.coordinate(i)
-            np.testing.assert_allclose(product.coordinate(i).as_tuple(),
+            expected = self.coordinate(vx, i) * self.coordinate(vy, i)
+            np.testing.assert_allclose(self.coordinate(product, i).as_tuple(),
                                        expected.as_tuple(), rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        vx = QuatVec.from_array(np.ones((4, 3)))
-        vy = QuatVec.from_array(np.ones((4, 4)))
-        with pytest.raises(DimensionMismatchError):
-            vx * vy
-        with pytest.raises(DimensionMismatchError):
-            vx + vy
 
     def test_normalize_per_coordinate(self):
         rng = np.random.default_rng(6)
-        v = QuatVec.from_array(rng.standard_normal((4, 32)))
-        np.testing.assert_allclose(v.normalize().magnitude(), 1.0, atol=1e-12)
+        v = rng.standard_normal((4, 32))
+        np.testing.assert_allclose(quat.magnitude(quat.normalize(v)), 1.0, atol=1e-12)
 
     def test_normalize_zero_coordinate_raises(self):
         parts = np.ones((4, 3))
         parts[:, 1] = 0.0
         with pytest.raises(ZeroQuaternionError):
-            QuatVec.from_array(parts).normalize()
+            quat.normalize(parts)
 
     def test_conjugate_and_norm(self):
         rng = np.random.default_rng(7)
-        v = QuatVec.from_array(rng.standard_normal((4, 6)))
-        np.testing.assert_allclose(v.dot(v), v.norm_sq(), rtol=1e-15)
-        np.testing.assert_array_equal(v.conjugate().a, v.a)
-        np.testing.assert_array_equal(v.conjugate().b, -v.b)
+        v = rng.standard_normal((4, 6))
+        np.testing.assert_allclose(quat.dot(v, v), quat.norm_sq(v), rtol=1e-15)
+        np.testing.assert_array_equal(quat.conjugate(v)[0], v[0])
+        np.testing.assert_array_equal(quat.conjugate(v)[1], -v[1])
 
 
 @pytest.mark.parametrize("k", [1, 4, 32])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quatkge.data import HEAD, TAIL
-from quatkge.model import init_embeddings, score_quate_d
+from quatkge.model import init_embeddings
 from quatkge.train import (AdagradState, EPS_ADAGRAD, GradientBuffer,
                            TrainConfig, adagrad_step, batch_loss, fit,
                            grad_batch, sample_negatives)
@@ -82,7 +82,7 @@ class TestSampleNegatives:
 
 
 from oracles import (dense_grads, finite_difference_check,
-                     random_batch as toy_batch, smooth_instance)
+                     random_batch as toy_batch, reference_score, smooth_instance)
 
 
 class TestBatchLoss:
@@ -108,9 +108,9 @@ class TestBatchLoss:
         margin, l1, l2 = 0.7, 0.03, 0.05
         expected = 0.0
         for i in range(pos.shape[0]):
-            phi_p = score_quate_d(table, *pos[i]).value
+            phi_p = reference_score(table, *pos[i])
             for j in range(neg.shape[1]):
-                phi_n = score_quate_d(table, *neg[i, j]).value
+                phi_n = reference_score(table, *neg[i, j])
                 expected += max(0.0, margin + phi_p - phi_n)
         for triples in (pos.reshape(-1, 3), neg.reshape(-1, 3)):
             for h, r, t in triples:
@@ -127,9 +127,9 @@ class TestBatchLoss:
         margin = 1.0
         expected = 0.0
         for h, r, t in pos:
-            expected += max(0.0, margin + score_quate_d(table, h, r, t).value)
+            expected += max(0.0, margin + reference_score(table, h, r, t))
         for h, r, t in neg.reshape(-1, 3):
-            expected += max(0.0, margin - score_quate_d(table, h, r, t).value)
+            expected += max(0.0, margin - reference_score(table, h, r, t))
         got = batch_loss(table, pos, neg, margin, loss_form="pointwise")
         assert got == pytest.approx(expected, rel=1e-12)
 
