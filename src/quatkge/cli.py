@@ -82,7 +82,6 @@ def build_parser() -> _Parser:
                          help="evaluations without improvement before stopping")
     p_train.add_argument("--loss-form", choices=("pairwise", "pointwise"),
                          default="pairwise")
-    p_train.add_argument("--scorer", choices=SCORERS, default="quate_d")
     p_train.add_argument("--grid",
                          help="grid spec like 'k=50,100;l1=0,0.05'; the run with "
                               "the best validation MRR is kept")
@@ -223,8 +222,6 @@ def _validation_mrr(result, store, constrained: bool) -> float:
 
 
 def cmd_train(args) -> int:
-    if args.scorer != "quate_d":
-        raise ValueError("training is implemented for the quate_d scorer only")
     store = load_dataset(args.train, args.valid, args.test)
     base = _train_config_from_args(args)
     constrained = base.constraint_mode == "type_constrained"

@@ -5,10 +5,23 @@ three tab-separated fields (head, relation, tail). Vocabulary ids are assigned
 by first appearance over train, then valid, then test, so entities that only
 occur in evaluation splits still get ids (they are never updated by training
 but must exist for ranking).
+
+Both indices are sorted arrays of unique int64 keys, one key per distinct true
+triple, for N entities and M relations:
+
+  * filter index (all splits): ``(h*M + r)*N + t`` lists the true tails of
+    (h, r), and ``(t*M + r)*N + h`` the true heads of (t, r);
+  * type index (train only): ``r*N + h`` and ``r*N + t`` list the heads and
+    tails observed with relation r.
+
+Every key with prefix p lies in ``[p*N, (p+1)*N)``, so two binary searches
+find a prefix's ids, already ascending. Keys stay below ``N*N*M``, which must
+be under 2**63: more than 87 million entities even at M = 1,200.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +56,9 @@ def load_split(path) -> list[RawTriple]:
 class TripleStore:
     """Integer-encoded splits plus every index evaluation and training need.
 
-    Immutable after construction: all consumers only read.
+    ``all_true`` is the hash set behind ``is_true``; the four key arrays are
+    the filter and type indices laid out in the module docstring. Immutable
+    after construction: all consumers only read.
     """
 
     train: np.ndarray
@@ -54,12 +69,10 @@ class TripleStore:
     relation_names: list[str]
     relation_ids: dict[str, int]
     all_true: frozenset[Triple]
-    # Training-split occurrences per relation, used for type constraints.
-    type_heads: dict[int, np.ndarray] = field(repr=False)
-    type_tails: dict[int, np.ndarray] = field(repr=False)
-    # Filtered-ranking index over all splits: true tails of (h, r), heads of (t, r).
-    tails_of: dict[tuple[int, int], np.ndarray] = field(repr=False)
-    heads_of: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    tail_keys: np.ndarray = field(repr=False)       # (h*M + r)*N + t, all splits
+    head_keys: np.ndarray = field(repr=False)       # (t*M + r)*N + h, all splits
+    type_head_keys: np.ndarray = field(repr=False)  # r*N + h, train
+    type_tail_keys: np.ndarray = field(repr=False)  # r*N + t, train
 
     @property
     def n_entities(self) -> int:
@@ -85,12 +98,12 @@ class TripleStore:
         training at that position.
         """
         if position == HEAD:
-            observed = self.type_heads.get(relation)
+            observed = self._ids_with_prefix(self.type_head_keys, relation)
         elif position == TAIL:
-            observed = self.type_tails.get(relation)
+            observed = self._ids_with_prefix(self.type_tail_keys, relation)
         else:
             raise ValueError(f"position must be 'head' or 'tail', got {position!r}")
-        if observed is None or observed.size == 0:
+        if observed.size == 0:
             return np.arange(self.n_entities, dtype=np.int64)
         return observed
 
@@ -98,8 +111,14 @@ class TripleStore:
         """Entity ids whose substitution at `position` yields a known-true triple."""
         head, relation, tail = triple
         if position == HEAD:
-            return self.heads_of.get((tail, relation), _EMPTY_IDS)
-        return self.tails_of.get((head, relation), _EMPTY_IDS)
+            return self._ids_with_prefix(self.head_keys,
+                                         tail * self.n_relations + relation)
+        return self._ids_with_prefix(self.tail_keys, head * self.n_relations + relation)
+
+    def _ids_with_prefix(self, keys: np.ndarray, prefix: int) -> np.ndarray:
+        """Ascending entity ids e with ``prefix*N + e`` in `keys`."""
+        base = prefix * self.n_entities
+        return keys[keys.searchsorted(base):keys.searchsorted(base + self.n_entities)] - base
 
     def stats(self) -> dict:
         return {
@@ -112,24 +131,18 @@ class TripleStore:
         }
 
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-
 def _encode(raw: list[RawTriple], entity_ids: dict[str, int],
-            relation_ids: dict[str, int], entity_names: list[str],
-            relation_names: list[str]) -> np.ndarray:
-    rows = np.empty((len(raw), 3), dtype=np.int64)
-    for i, (h, r, t) in enumerate(raw):
-        for name, vocab, names in ((h, entity_ids, entity_names),
-                                   (r, relation_ids, relation_names),
-                                   (t, entity_ids, entity_names)):
-            if name not in vocab:
-                vocab[name] = len(names)
-                names.append(name)
-        rows[i, 0] = entity_ids[h]
-        rows[i, 1] = relation_ids[r]
-        rows[i, 2] = entity_ids[t]
-    return rows
+            relation_ids: dict[str, int]) -> list[Triple]:
+    """Integer triples, giving each unseen name the next id in its vocabulary."""
+    ent, rel = entity_ids.setdefault, relation_ids.setdefault
+    return [(ent(h, len(entity_ids)), rel(r, len(relation_ids)), ent(t, len(entity_ids)))
+            for h, r, t in raw]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of non-negative `keys`."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def build_store(train: list[RawTriple], valid: list[RawTriple],
@@ -141,46 +154,25 @@ def build_store(train: list[RawTriple], valid: list[RawTriple],
     """
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-    entity_names: list[str] = []
-    relation_names: list[str] = []
-
-    encoded = [_encode(raw, entity_ids, relation_ids, entity_names, relation_names)
-               for raw in (train, valid, test)]
-    train_arr, valid_arr, test_arr = encoded
-
-    all_true = frozenset(
-        (int(h), int(r), int(t))
-        for arr in encoded for h, r, t in arr
-    )
-
-    type_heads_sets: dict[int, set[int]] = {}
-    type_tails_sets: dict[int, set[int]] = {}
-    for h, r, t in train_arr:
-        type_heads_sets.setdefault(int(r), set()).add(int(h))
-        type_tails_sets.setdefault(int(r), set()).add(int(t))
-
-    tails_sets: dict[tuple[int, int], set[int]] = {}
-    heads_sets: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in all_true:
-        tails_sets.setdefault((h, r), set()).add(t)
-        heads_sets.setdefault((t, r), set()).add(h)
-
-    def freeze(sets: dict) -> dict:
-        return {key: np.array(sorted(vals), dtype=np.int64) for key, vals in sets.items()}
+    encoded = [_encode(raw, entity_ids, relation_ids) for raw in (train, valid, test)]
+    train_arr, valid_arr, test_arr = (np.array(rows, dtype=np.int64).reshape(-1, 3)
+                                      for rows in encoded)
+    n, m = len(entity_ids), len(relation_ids)
+    h, r, t = np.concatenate([train_arr, valid_arr, test_arr]).T
 
     return TripleStore(
         train=train_arr,
         valid=valid_arr,
         test=test_arr,
-        entity_names=entity_names,
+        entity_names=list(entity_ids),
         entity_ids=entity_ids,
-        relation_names=relation_names,
+        relation_names=list(relation_ids),
         relation_ids=relation_ids,
-        all_true=all_true,
-        type_heads=freeze(type_heads_sets),
-        type_tails=freeze(type_tails_sets),
-        tails_of=freeze(tails_sets),
-        heads_of=freeze(heads_sets),
+        all_true=frozenset(itertools.chain.from_iterable(encoded)),
+        tail_keys=_sorted_unique((h * m + r) * n + t),
+        head_keys=_sorted_unique((t * m + r) * n + h),
+        type_head_keys=_sorted_unique(train_arr[:, 1] * n + train_arr[:, 0]),
+        type_tail_keys=_sorted_unique(train_arr[:, 1] * n + train_arr[:, 2]),
     )
 
 

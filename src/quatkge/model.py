@@ -121,12 +121,14 @@ def score_triples(table: EmbeddingTable, triples, scorer: str = "quate_d") -> np
     rels = table.relations[arr[:, 1]]
     if scorer == "rotate":
         heads, tails, rels = _planar(heads), _planar(tails), _planar(rels)
-    rotated = quat.hamilton(heads, quat.normalize(rels))
-    if scorer == "quate_inner":
-        scores = np.einsum("bck,bck->b", rotated, tails)
-    else:
-        diff = rotated - tails
-        scores = np.sqrt(np.einsum("bck,bck->b", diff, diff))
+    # inf times a zeroed planar part would warn; the check below raises instead.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rotated = quat.hamilton(heads, quat.normalize(rels))
+        if scorer == "quate_inner":
+            scores = np.einsum("bck,bck->b", rotated, tails)
+        else:
+            diff = rotated - tails
+            scores = np.sqrt(np.einsum("bck,bck->b", diff, diff))
     if not np.all(np.isfinite(scores)):
         raise ZeroQuaternionError("non-finite score: the embedding table is not finite")
     return scores
@@ -248,6 +250,9 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
         n, m, k = (_header_int(meta, key, 1, path)
                    for key in ("n_entities", "n_relations", "k"))
         seed = _header_int(meta, "seed", 0, path)
+        if meta.get("scorer", SCORERS[0]) not in SCORERS:
+            raise CheckpointError(f"{path}: header field 'scorer' must be one of "
+                                  f"{SCORERS}, got {meta['scorer']!r}")
         payload = os.fstat(handle.fileno()).st_size - (12 + header_len)
         expected = (n + m) * 4 * k * 8
         if payload != expected:

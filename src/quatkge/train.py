@@ -19,7 +19,7 @@ loss with respect to rot):
     grad_w_hat    = conj(x) (x) g              (left-multiplication adjoint)
     grad_w        = (grad_w_hat - <grad_w_hat, w_hat> w_hat) / m
 
-The last line is the quotient-rule projection; dropping it would freeze
+The last line is the quotient-rule projection; dropping it would pin
 relation magnitudes and fail the finite-difference check.
 """
 

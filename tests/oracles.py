@@ -55,18 +55,41 @@ def sort_rank(scored: dict[int, float], gold: int) -> float:
     return ((first + 1) + last) / 2.0
 
 
+def _rows(*splits):
+    return [tuple(int(x) for x in row) for split in splits for row in split]
+
+
+def observed_ids(store, relation, position):
+    """Entities seen at `position` of `relation` in train; all when none are."""
+    col = 0 if position == HEAD else 2
+    seen = {row[col] for row in _rows(store.train) if row[1] == relation}
+    return seen or set(range(store.n_entities))
+
+
+def competitor_ids(store, triple, position):
+    """Entities whose substitution at `position` is true in any split."""
+    h, r, t = triple
+    rows = _rows(store.train, store.valid, store.test)
+    if position == HEAD:
+        return {x for x, y, z in rows if y == r and z == t}
+    return {z for x, y, z in rows if x == h and y == r}
+
+
 def candidate_ids(store, triple, position, mode, constraint):
-    """Allowed candidate entity ids for one query, gold always included."""
+    """Allowed candidate entity ids for one query, gold always included.
+
+    The type and filter sets come from scanning the splits, not from the
+    store's indices.
+    """
     h, r, t = triple
     gold = h if position == HEAD else t
     if constraint:
-        allowed = set(int(e) for e in store.type_candidates(r, position))
+        allowed = observed_ids(store, r, position)
         allowed.add(gold)
     else:
         allowed = set(range(store.n_entities))
     if mode == "filtered":
-        for e in store.true_competitors(triple, position):
-            allowed.discard(int(e))
+        allowed -= competitor_ids(store, triple, position)
         allowed.add(gold)
     return allowed
 

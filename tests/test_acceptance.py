@@ -225,6 +225,6 @@ class TestCriterion8:
 class TestCriterion9:
     def test_wn18rr_long_run_documented(self):
         pytest.skip(
-            "ACCEPTANCE 9 SKIP wn18rr full training: overnight job, not part "
+            "ACCEPTANCE 9 SKIP wn18rr full training: multi-day job, not part "
             "of the gated suite; see README for the exact command and the "
             "targets (filtered MRR within 15% of 0.483, MR <= 2100)")

@@ -62,9 +62,10 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
     def test_training_other_scorers_rejected(self, dataset_dir):
-        code = main(["train", *data_flags(dataset_dir), "--scorer", "rotate",
-                     "--epochs", "1"])
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *data_flags(dataset_dir), "--scorer", "rotate",
+                  "--epochs", "1"])
+        assert exc.value.code == 1
 
 
 class TestTrainCommand:
@@ -195,6 +196,16 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(path), *data_flags(dataset_dir)])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_scorer_is_data_error(self, dataset_dir, tmp_path, capsys):
+        store = load_dataset(*(dataset_dir / f"{s}.txt"
+                               for s in ("train", "valid", "test")))
+        table = init_embeddings(store.n_entities, store.n_relations, 4, seed=0)
+        path = tmp_path / "bogus.bin"
+        save_checkpoint(table, path, scorer="bogus")
+        code = main(["eval", "--checkpoint", str(path), *data_flags(dataset_dir)])
+        assert code == 2
+        assert "scorer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", [
         b"QKGE\x01",

@@ -8,6 +8,7 @@ from quatkge.data import HEAD, TAIL, dataset_dir_paths, load_dataset, load_split
 from quatkge.errors import ParseError
 
 from conftest import make_store, random_store
+import oracles
 
 
 class TestLoadSplit:
@@ -122,6 +123,66 @@ class TestTypeCandidates:
     def test_bad_position(self, tiny_store):
         with pytest.raises(ValueError):
             tiny_store.type_candidates(0, "middle")
+
+
+def edge_store(seed, n_entities=12, n_relations=4):
+    """Random store whose triples touch entity 0, the last entity id and the
+    last relation id in train and test, with one train triple repeated in test."""
+    rng = np.random.default_rng(seed)
+
+    def draw(count, ents, rels):
+        return [(ents[rng.integers(len(ents))], rels[rng.integers(len(rels))],
+                 ents[rng.integers(len(ents))]) for _ in range(count)]
+
+    train = draw(50, [f"e{i}" for i in range(n_entities)],
+                 [f"r{i}" for i in range(n_relations)])
+    first = train[0][0]
+    # "last" and "r_last" are new names at the end of train, and valid and
+    # test reuse train's names, so they get the last ids.
+    train.append((first, "r_last", "last"))
+    ents = sorted({x for h, _, t in train for x in (h, t)})
+    rels = sorted({r for _, r, _ in train})
+    test = draw(10, ents, rels) + [train[0], ("last", "r_last", first),
+                                   ("last", "r_last", "last")]
+    return make_store(train, draw(10, ents, rels), test)
+
+
+def assert_ascending_ids(ids, expected):
+    assert ids.dtype == np.int64
+    assert np.all(np.diff(ids) > 0)
+    assert ids.tolist() == sorted(expected)
+
+
+class TestIndices:
+    """The key-array indices against the linear scans in ``oracles``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_true_competitors_match_scan(self, seed):
+        store = edge_store(seed)
+        n, m = store.n_entities, store.n_relations
+        assert store.entity_ids["last"] == n - 1
+        assert store.relation_ids["r_last"] == m - 1
+        for e in range(n):
+            for r in range(m):
+                for position in (HEAD, TAIL):
+                    assert_ascending_ids(
+                        store.true_competitors((e, r, e), position),
+                        oracles.competitor_ids(store, (e, r, e), position))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_type_candidates_match_scan(self, seed):
+        store = edge_store(seed)
+        for r in range(store.n_relations):
+            for position in (HEAD, TAIL):
+                assert_ascending_ids(store.type_candidates(r, position),
+                                     oracles.observed_ids(store, r, position))
+
+    def test_triple_in_two_splits_counted_once(self):
+        store = make_store([("a", "r", "b"), ("a", "r", "b")], [],
+                           [("a", "r", "b")])
+        assert store.true_competitors((0, 0, 1), TAIL).tolist() == [1]
+        assert store.true_competitors((0, 0, 1), HEAD).tolist() == [0]
+        assert store.type_candidates(0, HEAD).tolist() == [0]
 
 
 # Table of published benchmark statistics; the test runs only when the

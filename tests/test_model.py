@@ -348,7 +348,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("change", [
         {"n_entities": None}, {"n_relations": None}, {"k": None}, {"seed": None},
         {"n_entities": 0}, {"k": -1}, {"n_relations": "2"}, {"k": 3.0},
-        {"k": True}, {"seed": -1}, {"seed": "24"},
+        {"k": True}, {"seed": -1}, {"seed": "24"}, {"scorer": "bogus"},
+        {"scorer": 1},
     ], ids=lambda change: ",".join(f"{k}={v!r}" for k, v in change.items()))
     def test_bad_header_field(self, tmp_path, change):
         table = init_embeddings(4, 2, 3, seed=24)
