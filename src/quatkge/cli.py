@@ -245,12 +245,12 @@ def cmd_train(args) -> int:
         mrr, index, config, result = best
         grid_items += [("selected.index", index), ("selected.val_mrr", mrr)]
         _emit(args, "grid", grid_items, "grid search")
+        save_checkpoint(result.table, out / "checkpoint.bin", scorer="quate_d",
+                        config_hash=config.config_hash())
     else:
         config = base
         result = fit(store, config, checkpoint_path=out / "checkpoint.bin")
 
-    save_checkpoint(result.table, out / "checkpoint.bin", scorer="quate_d",
-                    config_hash=config.config_hash())
     (out / "train_log.txt").write_text(reporting.training_log_lines(result.log),
                                        encoding="utf-8")
     report = evaluation.link_prediction(result.table, store, mode="filtered",

@@ -21,7 +21,6 @@ be under 2**63: more than 87 million entities even at M = 1,200.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,9 +55,9 @@ def load_split(path) -> list[RawTriple]:
 class TripleStore:
     """Integer-encoded splits plus every index evaluation and training need.
 
-    ``all_true`` is the hash set behind ``is_true``; the four key arrays are
-    the filter and type indices laid out in the module docstring. Immutable
-    after construction: all consumers only read.
+    The four key arrays are the filter and type indices laid out in the
+    module docstring, and the only index of true triples. Immutable after
+    construction: all consumers only read.
     """
 
     train: np.ndarray
@@ -68,7 +67,6 @@ class TripleStore:
     entity_ids: dict[str, int]
     relation_names: list[str]
     relation_ids: dict[str, int]
-    all_true: frozenset[Triple]
     tail_keys: np.ndarray = field(repr=False)       # (h*M + r)*N + t, all splits
     head_keys: np.ndarray = field(repr=False)       # (t*M + r)*N + h, all splits
     type_head_keys: np.ndarray = field(repr=False)  # r*N + h, train
@@ -87,9 +85,13 @@ class TripleStore:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
-    def is_true(self, head: int, relation: int, tail: int) -> bool:
-        """Membership in the union of all three splits (filtered protocol)."""
-        return (head, relation, tail) in self.all_true
+    def is_true(self, head, relation, tail):
+        """Membership in the union of all three splits (filtered protocol),
+        elementwise over equal-length id arrays."""
+        keys = ((np.asarray(head, dtype=np.int64) * self.n_relations + relation)
+                * self.n_entities + tail)
+        found = self.tail_keys.searchsorted(keys)
+        return self.tail_keys[np.minimum(found, self.tail_keys.size - 1)] == keys
 
     def type_candidates(self, relation: int, position: str) -> np.ndarray:
         """Entity ids observed at `position` for `relation` in training.
@@ -106,6 +108,19 @@ class TripleStore:
         if observed.size == 0:
             return np.arange(self.n_entities, dtype=np.int64)
         return observed
+
+    def sample_type_candidates(self, relations, position: str,
+                               rng: np.random.Generator) -> np.ndarray:
+        """One uniform draw from ``type_candidates(r, position)`` per r in
+        `relations`, including its fallback to all entities."""
+        keys = self.type_head_keys if position == HEAD else self.type_tail_keys
+        base = np.asarray(relations, dtype=np.int64) * self.n_entities
+        lo = keys.searchsorted(base)
+        size = keys.searchsorted(base + self.n_entities) - lo
+        pooled = size > 0
+        ids = rng.integers(np.where(pooled, size, self.n_entities))
+        ids[pooled] = keys[lo[pooled] + ids[pooled]] - base[pooled]
+        return ids
 
     def true_competitors(self, triple: Triple, position: str) -> np.ndarray:
         """Entity ids whose substitution at `position` yields a known-true triple."""
@@ -168,7 +183,6 @@ def build_store(train: list[RawTriple], valid: list[RawTriple],
         entity_ids=entity_ids,
         relation_names=list(relation_ids),
         relation_ids=relation_ids,
-        all_true=frozenset(itertools.chain.from_iterable(encoded)),
         tail_keys=_sorted_unique((h * m + r) * n + t),
         head_keys=_sorted_unique((t * m + r) * n + h),
         type_head_keys=_sorted_unique(train_arr[:, 1] * n + train_arr[:, 0]),

@@ -193,9 +193,7 @@ def triple_classification(table: EmbeddingTable, store: TripleStore,
         positives = store.split(split)
         if positives.shape[0] == 0:
             raise ValueError(f"split {split!r} is empty")
-        negatives = np.array(
-            [train.sample_negatives(store, row, 1, constraint_mode, rng)[0]
-             for row in positives], dtype=np.int64)
+        negatives = train.sample_negatives(store, positives, 1, constraint_mode, rng)
         return (positives, score_triples(table, positives, scorer),
                 score_triples(table, negatives, scorer))
 

@@ -29,7 +29,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -89,18 +89,8 @@ class TrainConfig:
         if self.loss_form not in LOSS_FORMS:
             raise ValueError(f"loss_form must be one of {LOSS_FORMS}")
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k, "margin": self.margin, "lr": self.lr,
-            "l1": self.l1, "l2": self.l2, "neg_rate": self.neg_rate,
-            "batch_size": self.batch_size, "epochs": self.epochs,
-            "seed": self.seed, "constraint_mode": self.constraint_mode,
-            "eval_every": self.eval_every, "patience": self.patience,
-            "loss_form": self.loss_form,
-        }
-
     def config_hash(self) -> str:
-        canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def with_overrides(self, **kwargs) -> "TrainConfig":
@@ -133,38 +123,36 @@ class AdagradState:
         return cls(np.zeros_like(table.entities), np.zeros_like(table.relations))
 
 
-def sample_negatives(store: TripleStore, positive, neg_rate: int,
+def sample_negatives(store: TripleStore, positives, neg_rate: int,
                      constraint_mode: str, rng: np.random.Generator,
-                     max_attempts: int = 100) -> list[tuple[int, int, int]]:
+                     max_attempts: int = 100) -> np.ndarray:
     """Corrupt head or tail (fair coin) with filtered rejection sampling.
 
-    Candidates come from the full entity set, or from the relation's observed
-    head/tail entities when type-constrained. A corruption found in any split
-    is redrawn, up to `max_attempts`; the final draw is then accepted and the
-    event logged.
+    Takes one triple or a (B, 3) batch and returns (B*neg_rate, 3) int64 rows,
+    row i*neg_rate + j corrupting positive i. Candidates come from the full
+    entity set, or from the relation's observed head/tail entities when
+    type-constrained. Each round redraws all rows whose corruption is true in
+    some split; after `max_attempts` draws a row keeps its last one, logged.
     """
-    h, r, t = int(positive[0]), int(positive[1]), int(positive[2])
-    constrained = constraint_mode == "type_constrained"
-    out = []
-    for _ in range(neg_rate):
-        corrupt_head = rng.integers(2) == 0
-        if constrained:
-            candidates = store.type_candidates(r, HEAD if corrupt_head else TAIL)
+    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    out = np.repeat(positives, neg_rate, axis=0)
+    column = np.where(rng.integers(2, size=out.shape[0]) == 0, 0, 2)
+    pending = np.arange(out.shape[0])
+    for _ in range(max_attempts):
+        if pending.size == 0:
+            break
+        if constraint_mode == "type_constrained":
+            for position, side in ((HEAD, 0), (TAIL, 2)):
+                rows = pending[column[pending] == side]
+                out[rows, side] = store.sample_type_candidates(out[rows, 1], position, rng)
         else:
-            candidates = None
-        candidate = (h, r, t)
-        for attempt in range(max_attempts):
-            if candidates is None:
-                e = int(rng.integers(store.n_entities))
-            else:
-                e = int(candidates[rng.integers(candidates.size)])
-            candidate = (e, r, t) if corrupt_head else (h, r, e)
-            if not store.is_true(*candidate):
-                break
-        else:
-            logger.warning("negative sampling hit the attempt bound for positive %s; "
-                           "accepting a true triple as negative", (h, r, t))
-        out.append(candidate)
+            out[pending, column[pending]] = rng.integers(store.n_entities,
+                                                         size=pending.size)
+        pending = pending[store.is_true(*out[pending].T)]
+    for row in pending:
+        logger.warning("negative sampling hit the attempt bound for positive %s; "
+                       "accepting a true triple as negative",
+                       tuple(positives[row // neg_rate].tolist()))
     return out
 
 
@@ -344,6 +332,8 @@ def fit(store: TripleStore, config: TrainConfig,
             save_checkpoint(current, checkpoint_path, scorer="quate_d",
                             config_hash=config.config_hash())
 
+    if store.train.shape[0] == 0:
+        raise ValueError("split 'train' is empty")
     table = init_embeddings(store.n_entities, store.n_relations, config.k, config.seed)
     result = FitResult(table=table, config=config)
     if config.epochs == 0:
@@ -366,11 +356,9 @@ def fit(store: TripleStore, config: TrainConfig,
         epoch_loss = 0.0
         for lo in range(0, n_train, config.batch_size):
             batch = train[order[lo:lo + config.batch_size]]
-            negatives = np.array(
-                [sample_negatives(store, row, config.neg_rate,
-                                  config.constraint_mode, rng)
-                 for row in batch], dtype=np.int64)
-            loss, grads = _loss_and_grads(table, batch, negatives, config)
+            negatives = sample_negatives(store, batch, config.neg_rate,
+                                         config.constraint_mode, rng)
+            loss, grads = _loss_and_grads(table, *_as_batch(batch, negatives), config)
             adagrad_step(table, state, grads, config.lr)
             epoch_loss += loss
 

@@ -98,6 +98,13 @@ class TestTrainCommand:
         init = init_embeddings(store.n_entities, store.n_relations, 4, 9)
         np.testing.assert_array_equal(table.entities, init.entities)
 
+    def test_empty_train_split_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        (dataset_dir / "train.txt").write_text("")
+        code = main(["train", *data_flags(dataset_dir), "--out", str(tmp_path / "e"),
+                     "--k", "4", "--epochs", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: split 'train' is empty\n"
+
     def test_reruns_byte_identical(self, dataset_dir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         self.run_train(dataset_dir, out_a)

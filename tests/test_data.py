@@ -50,7 +50,7 @@ class TestBuildStore:
         store = make_store([("x", "r", "y")])
         assert store.n_entities == 2
         assert store.n_relations == 1
-        assert len(store.all_true) == 1
+        assert store.tail_keys.size == 1
 
     def test_first_appearance_ids(self):
         store = make_store([("b", "r2", "a")], [("c", "r1", "b")])
@@ -71,7 +71,7 @@ class TestBuildStore:
     def test_duplicates_kept_in_split_dedup_in_filter(self):
         store = make_store([("a", "r", "b"), ("a", "r", "b")])
         assert store.train.shape[0] == 2
-        assert len(store.all_true) == 1
+        assert store.tail_keys.size == 1
 
     def test_stats(self, tiny_store):
         stats = tiny_store.stats()
@@ -99,6 +99,11 @@ class TestIsTrue:
             r = int(rng.integers(store.n_relations))
             t = int(rng.integers(store.n_entities))
             assert store.is_true(h, r, t) == ((h, r, t) in listed)
+        h, r, t = (rng.integers(n, size=500) for n in (
+            store.n_entities, store.n_relations, store.n_entities))
+        np.testing.assert_array_equal(
+            store.is_true(h, r, t),
+            [(x, y, z) in listed for x, y, z in zip(h.tolist(), r.tolist(), t.tolist())])
 
 
 class TestTypeCandidates:

@@ -1,7 +1,10 @@
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatkge.data import HEAD, TAIL
 from quatkge.model import init_embeddings
@@ -10,6 +13,7 @@ from quatkge.train import (AdagradState, EPS_ADAGRAD, GradientBuffer,
                            grad_batch, sample_negatives)
 
 from conftest import make_store, random_store
+import oracles
 
 
 class TestTrainConfig:
@@ -34,6 +38,12 @@ class TestTrainConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    def test_hash_pinned(self):
+        # Checkpoint headers carry this hash; it must not move when the
+        # field list is read from the dataclass.
+        assert TrainConfig(k=4, seed=1).config_hash() == (
+            "09b36b812f5d226ad8bfbce02f30806f980b37d07f73fa607a18bea389087a6c")
+
 
 class TestSampleNegatives:
     def test_count_contract(self, tiny_store):
@@ -55,7 +65,7 @@ class TestSampleNegatives:
         h, r, t = positive
         for neg in sample_negatives(tiny_store, positive, 50, "none", rng):
             assert neg[1] == r
-            assert (neg[0] == h) != (neg[2] == t) or neg == positive
+            assert (neg[0] == h) != (neg[2] == t) or neg.tolist() == list(positive)
 
     def test_type_constrained_membership(self):
         rng = np.random.default_rng(3)
@@ -77,8 +87,75 @@ class TestSampleNegatives:
         rng = np.random.default_rng(4)
         with caplog.at_level(logging.WARNING, logger="quatkge.train"):
             negs = sample_negatives(store, (0, 0, 1), 1, "type_constrained", rng)
-        assert negs == [(0, 0, 1)]
+        assert negs.tolist() == [[0, 0, 1]]
         assert any("attempt bound" in rec.message for rec in caplog.records)
+
+    def test_rows_are_positive_major(self):
+        rng = np.random.default_rng(5)
+        store = random_store(rng, n_entities=25, n_train=100)
+        positives = store.train[:12]
+        negs = sample_negatives(store, positives, 4, "none", rng)
+        assert negs.shape == (48, 3) and negs.dtype == np.int64
+        for i, (h, r, t) in enumerate(positives):
+            for neg in negs[4 * i:4 * i + 4]:
+                assert neg[1] == r
+                assert (neg[0] == h) != (neg[2] == t)
+
+    def test_same_seed_same_array(self):
+        store = random_store(np.random.default_rng(6), n_entities=25, n_train=100)
+        for mode in ("none", "type_constrained"):
+            a, b = (sample_negatives(store, store.train, 3, mode,
+                                     np.random.default_rng(7)) for _ in range(2))
+            np.testing.assert_array_equal(a, b)
+
+    def test_type_pools_drawn_in_full(self):
+        # Relation "a" (id 0) has entity 0 and entity 9 (the last id) in its
+        # pools, so they sit at both ends of a key range; "b" (id 1) ends the
+        # type key arrays; "c" (id 2) never occurs in train, so its pools
+        # fall back to all entities.
+        train = [("e0", "a", "e1"), ("e2", "b", "e3"), ("e4", "b", "e5"),
+                 ("e6", "b", "e7"), ("e8", "b", "e9"), ("e3", "a", "e9"),
+                 ("e9", "a", "e4")]
+        store = make_store(train, [], [("e0", "c", "e1")])
+        positives = np.concatenate([store.train, store.test])
+        negs = sample_negatives(store, positives, 400, "type_constrained",
+                                np.random.default_rng(8)).reshape(-1, 400, 3)
+        for (h, r, t), rows in zip(positives.tolist(), negs):
+            for position, col, gold in ((HEAD, 0, h), (TAIL, 2, t)):
+                drawn = set(rows[rows[:, col] != gold, col].tolist())
+                expected = (oracles.observed_ids(store, r, position)
+                            - oracles.competitor_ids(store, (h, r, t), position))
+                assert drawn == expected
+        assert store.type_candidates(2, HEAD).size == store.n_entities
+
+    @settings(max_examples=60, deadline=None)
+    @given(triples=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1),
+                                      st.integers(0, 4)), min_size=1, max_size=30),
+           n_valid=st.integers(0, 5), neg_rate=st.integers(1, 4),
+           max_attempts=st.integers(1, 4),
+           mode=st.sampled_from(["none", "type_constrained"]),
+           seed=st.integers(0, 2**16))
+    def test_true_rows_match_bound_warnings(self, triples, n_valid, neg_rate,
+                                            max_attempts, mode, seed):
+        named = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples]
+        n_train = max(1, len(named) - n_valid)
+        store = make_store(named[:n_train], named[n_train:])
+        listed = {tuple(row) for split in (store.train, store.valid)
+                  for row in split.tolist()}
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("quatkge.train")
+        logger.addHandler(handler)
+        try:
+            negs = sample_negatives(store, store.train, neg_rate, mode,
+                                    np.random.default_rng(seed), max_attempts)
+        finally:
+            logger.removeHandler(handler)
+        assert all("attempt bound" in rec.getMessage() for rec in records)
+        true_rows = [i for i, row in enumerate(negs.tolist()) if tuple(row) in listed]
+        assert Counter(rec.args[0] for rec in records) == Counter(
+            tuple(store.train[i // neg_rate].tolist()) for i in true_rows)
 
 
 from oracles import (dense_grads, finite_difference_check,
