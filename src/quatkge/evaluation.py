@@ -25,6 +25,11 @@ logger = logging.getLogger(__name__)
 HITS_AT = (1, 3, 10)
 MODES = ("raw", "filtered")
 
+# Bytes of candidate scores alive at once while ranking a split: a block's
+# tail and head score arrays, float64. At N = 40,943 it gives 25 triples per
+# block; smaller budgets were measured slower at that size.
+_SCORE_BYTES = 16 * 2**20
+
 
 @dataclass
 class RankingReport:
@@ -99,17 +104,25 @@ def rank_entity(table: EmbeddingTable, store: TripleStore, triple,
 
 
 def _iter_query_ranks(table, store, mode, constraint, scorer, split):
-    """Yield (relation, rank, reinserted) for both directions of every triple."""
+    """Yield (relation, rank, reinserted) for both directions of every triple.
+
+    Triples are scored a block at a time, tails then heads; each block reads
+    the entity table twice, and its size keeps both score arrays within
+    _SCORE_BYTES.
+    """
     cand = CandidateScorer(table, scorer)
     lower = lower_is_better(scorer)
-    for h, r, t in store.split(split):
-        h, r, t = int(h), int(r), int(t)
-        for position, scores, gold in (
-                (TAIL, cand.all_tails(h, r), t),
-                (HEAD, cand.all_heads(r, t), h)):
-            mask, reinserted = _candidate_mask(store, (h, r, t), position, mode,
-                                               constraint)
-            yield r, _mean_rank(scores, gold, mask, lower), reinserted
+    triples = store.split(split)
+    block = max(1, _SCORE_BYTES // (2 * 8 * table.n_entities))
+    for start in range(0, triples.shape[0], block):
+        rows = triples[start:start + block]
+        tail_block = cand.all_tails(rows[:, 0], rows[:, 1])
+        head_block = cand.all_heads(rows[:, 1], rows[:, 2])
+        for (h, r, t), tails, heads in zip(rows.tolist(), tail_block, head_block):
+            for position, scores, gold in ((TAIL, tails, t), (HEAD, heads, h)):
+                mask, reinserted = _candidate_mask(store, (h, r, t), position, mode,
+                                                   constraint)
+                yield r, _mean_rank(scores, gold, mask, lower), reinserted
 
 
 def link_prediction(table: EmbeddingTable, store: TripleStore,

@@ -16,9 +16,10 @@ direction ranks first):
   * ``quate_inner`` - inner product between the rotated head and the tail;
                     larger is better (comparison baseline only).
 
-``score_triples`` scores a batch of triples and ``CandidateScorer`` sweeps
-every entity for one query; both raise ``ZeroQuaternionError`` rather than
-return a score computed from non-finite embeddings.
+``score_triples`` scores a batch of triples and ``CandidateScorer`` scores
+every entity for a query or a block of queries; both raise
+``ZeroQuaternionError`` rather than return a score computed from non-finite
+embeddings.
 """
 
 from __future__ import annotations
@@ -135,13 +136,15 @@ def score_triples(table: EmbeddingTable, triples, scorer: str = "quate_d") -> np
 
 
 class CandidateScorer:
-    """Scores every entity in the corrupted position of a query.
+    """Scores every entity in the corrupted position of a block of queries.
 
-    Rotation happens once per query; candidate distances then come from the
-    expansion |x - e|^2 = |x|^2 + |e|^2 - 2<x, e> with cached per-row squared
-    norms, so a full sweep costs one matrix-vector product. Head queries use
-    the adjoint identity <Q_h (x) w, Q_t> = <Q_h, Q_t (x) conj(w)> for unit w.
-    A ``rotate`` query has zero j and k components, so its sweep reads a table
+    The B queries of a block are rotated with one Hamilton product; candidate
+    distances then come from the expansion |x - e|^2 = |x|^2 + |e|^2 - 2<x, e>
+    with cached per-row squared norms, so a block costs one matrix product
+    against the entity table and returns a (B, N) float64 array: 8*B*N bytes,
+    which the caller bounds by its choice of B. Head queries use the adjoint
+    identity <Q_h (x) w, Q_t> = <Q_h, Q_t (x) conj(w)> for unit w. A
+    ``rotate`` query has zero j and k components, so its sweep reads a table
     of only the (a, b) columns.
     """
 
@@ -159,25 +162,33 @@ class CandidateScorer:
                 and np.all(np.isfinite(table.relations))):
             raise ZeroQuaternionError("embedding table contains non-finite values")
 
-    def _row(self, block: np.ndarray, i: int) -> np.ndarray:
-        return _planar(block[i]) if self.scorer == "rotate" else block[i]
+    def _rows(self, block: np.ndarray, ids) -> np.ndarray:
+        return _planar(block[ids]) if self.scorer == "rotate" else block[ids]
 
     def _sweep(self, query: np.ndarray) -> np.ndarray:
-        if self.scorer == "quate_inner":
-            return self._flat @ query.ravel()
-        flat = query[:2].ravel() if self.scorer == "rotate" else query.ravel()
-        d_sq = self._row_sq + flat @ flat - 2.0 * (self._flat @ flat)
-        return np.sqrt(np.clip(d_sq, 0.0, None))
+        """Scores of (..., 4, k) rotated queries against every entity: (..., N)."""
+        batch = query.shape[:-2]
+        if self.scorer == "rotate":
+            query = query[..., :2, :]
+        flat = query.reshape(-1, self._flat.shape[1])
+        scores = flat @ self._flat.T
+        if self.scorer != "quate_inner":
+            scores *= -2.0
+            scores += self._row_sq
+            scores += np.einsum("bc,bc->b", flat, flat)[:, None]
+            np.clip(scores, 0.0, None, out=scores)
+            np.sqrt(scores, out=scores)
+        return scores.reshape(batch + (-1,))
 
-    def all_tails(self, h: int, r: int) -> np.ndarray:
-        """Score (h, r, t) for every t; shape (N,)."""
-        unit_rel = quat.normalize(self._row(self.table.relations, r))
-        return self._sweep(quat.hamilton(self._row(self.table.entities, h), unit_rel))
+    def all_tails(self, h, r) -> np.ndarray:
+        """Score (h, r, t) for every t: shape (N,) for ids, (B, N) for id arrays."""
+        unit_rel = quat.normalize(self._rows(self.table.relations, r))
+        return self._sweep(quat.hamilton(self._rows(self.table.entities, h), unit_rel))
 
-    def all_heads(self, r: int, t: int) -> np.ndarray:
-        """Score (h, r, t) for every h; shape (N,)."""
-        unit_rel = quat.normalize(self._row(self.table.relations, r))
-        return self._sweep(quat.hamilton(self._row(self.table.entities, t),
+    def all_heads(self, r, t) -> np.ndarray:
+        """Score (h, r, t) for every h: shape (N,) for ids, (B, N) for id arrays."""
+        unit_rel = quat.normalize(self._rows(self.table.relations, r))
+        return self._sweep(quat.hamilton(self._rows(self.table.entities, t),
                                          quat.conjugate(unit_rel)))
 
 

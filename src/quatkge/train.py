@@ -302,8 +302,9 @@ def adagrad_step(table: EmbeddingTable, state: AdagradState,
                                 table.relations, state.relation_acc)):
         if ids.size == 0:
             continue
-        acc[ids] += g * g
-        theta[ids] -= lr * g / (np.sqrt(acc[ids]) + eps)
+        a = acc[ids] + g * g  # ids are unique, so one gather and one scatter suffice
+        acc[ids] = a
+        theta[ids] -= lr * g / (np.sqrt(a) + eps)
 
 
 @dataclass

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quatkge import evaluation
 from quatkge.data import HEAD, TAIL
 from quatkge.errors import ZeroQuaternionError
 from quatkge.evaluation import (link_prediction, per_relation_mrr, rank_entity,
@@ -281,6 +282,37 @@ class TestNonFiniteTable:
         table.entities[int(store.valid[0, 0]), 1, 0] = np.inf
         with pytest.raises(ZeroQuaternionError):
             triple_classification(table, store, scorer=scorer)
+
+
+class TestScoreBlocks:
+    """Ranking a split a few triples at a time gives the reference ranks."""
+
+    @staticmethod
+    def use_blocks(monkeypatch, table, triples):
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 2 * 8 * table.n_entities * triples)
+
+    @pytest.mark.parametrize("triples", [1, 2, 3])
+    def test_oracle_equivalence(self, fixture50, monkeypatch, triples):
+        store, table = fixture50
+        assert store.test.shape[0] % 3 != 0  # blocks of 3 end in a partial one
+        self.use_blocks(monkeypatch, table, triples)
+        for constraint in (False, True):
+            for mode in ("raw", "filtered"):
+                report = link_prediction(table, store, mode=mode, constraint=constraint)
+                expected = oracles.reference_report(table, store, mode, constraint)
+                assert report.mr == expected["mr"]
+                assert report.mrr == expected["mrr"]
+                assert report.hits == expected["hits"]
+                assert report.per_relation_mrr == expected["per_relation_mrr"]
+                assert report.count == expected["count"]
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    def test_non_finite_table_raises(self, fixture50, monkeypatch, scorer):
+        store, table = fixture50
+        self.use_blocks(monkeypatch, table, 3)
+        table.entities[int(store.test[4, 2]), 0, 0] = np.nan
+        with pytest.raises(ZeroQuaternionError):
+            link_prediction(table, store, mode="filtered", scorer=scorer)
 
 
 def tied_instance(n_entities=6, n_relations=2, k=2):

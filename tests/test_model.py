@@ -197,6 +197,21 @@ class TestCandidateSweeps:
             expected = reference_score(table, h, 1, 2, scorer)
             assert abs(heads[h] - expected) < 1e-12
 
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    def test_block_matches_scalar_path(self, scorer):
+        table = init_embeddings(7, 3, 4, seed=22)
+        sweeps = CandidateScorer(table, scorer)
+        heads, rels, tails = np.array([0, 3, 6, 3]), np.array([1, 0, 2, 1]), np.array([5, 5, 1, 2])
+        tail_block = sweeps.all_tails(heads, rels)
+        head_block = sweeps.all_heads(rels, tails)
+        assert tail_block.shape == (4, 7) and head_block.shape == (4, 7)
+        for i, (h, r, t) in enumerate(zip(heads.tolist(), rels.tolist(), tails.tolist())):
+            for e in range(7):
+                assert abs(tail_block[i, e] - reference_score(table, h, r, e, scorer)) < 1e-12
+                assert abs(head_block[i, e] - reference_score(table, e, r, t, scorer)) < 1e-12
+        assert sweeps.all_tails(6, 2).shape == (7,)
+        assert sweeps.all_heads(2, 1).shape == (7,)
+
     def test_score_triples_matches_single(self):
         table = init_embeddings(5, 2, 3, seed=19)
         batch = [(0, 0, 1), (2, 1, 3), (4, 0, 0)]
