@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -105,10 +106,6 @@ class GradientBuffer:
     entity_grads: np.ndarray    # (U, 4, k)
     relation_ids: np.ndarray
     relation_grads: np.ndarray
-
-    def is_zero(self, atol: float = 0.0) -> bool:
-        return (np.all(np.abs(self.entity_grads) <= atol)
-                and np.all(np.abs(self.relation_grads) <= atol))
 
 
 @dataclass
@@ -202,19 +199,32 @@ def _hinge_weights(phi_pos: np.ndarray, phi_neg: np.ndarray, margin: float,
     return hinge, w_pos, w_neg
 
 
-def _regularizer(table: EmbeddingTable, pos: np.ndarray, neg_flat: np.ndarray,
-                 l1: float, l2: float) -> float:
-    if l1 == 0.0 and l2 == 0.0:
-        return 0.0
+def _regularizer(terms: dict, n_pos: int, l1: float, l2: float) -> float:
+    """Touched-row penalties over the forward pass's rows: per split, entities
+    interleaved head, tail per triple, which fixes how the sums round."""
     total = 0.0
-    for triples in (pos, neg_flat):
+    for split in (slice(None, n_pos), slice(n_pos, None)):
         if l1 > 0.0:
-            ent = table.entities[triples[:, [0, 2]].ravel()]
+            ent = np.stack([terms["heads"][split], terms["tails"][split]], axis=1)
             total += l1 * float(np.sum(ent * ent))
         if l2 > 0.0:
-            rel = table.relations[triples[:, 1]]
+            rel = terms["rels"][split]
             total += l2 * float(np.sum(rel * rel))
     return total
+
+
+def _forward(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, margin: float,
+             l1: float, l2: float, loss_form: str):
+    """One pass over pos stacked on the flat negatives: the loss, the stacked
+    (B + B*R, 3) triples, their `_phi_terms` and each one's d(loss)/d(phi)."""
+    n_pos = pos.shape[0]
+    triples = np.concatenate([pos, neg.reshape(-1, 3)])
+    terms = _phi_terms(table, triples)
+    phi = terms["phi"]
+    hinge, w_pos, w_neg = _hinge_weights(phi[:n_pos], phi[n_pos:].reshape(neg.shape[:2]),
+                                         margin, loss_form)
+    loss = hinge + _regularizer(terms, n_pos, l1, l2)
+    return loss, triples, terms, np.concatenate([w_pos, w_neg.ravel()])
 
 
 def batch_loss(table: EmbeddingTable, positives, negatives, margin: float,
@@ -222,11 +232,7 @@ def batch_loss(table: EmbeddingTable, positives, negatives, margin: float,
                loss_form: str = "pairwise") -> float:
     """Hinge loss over (positive, negative) pairs plus touched-row penalties."""
     pos, neg = _as_batch(positives, negatives)
-    neg_flat = neg.reshape(-1, 3)
-    phi_pos = _phi_terms(table, pos)["phi"]
-    phi_neg = _phi_terms(table, neg_flat)["phi"].reshape(neg.shape[:2])
-    hinge, _, _ = _hinge_weights(phi_pos, phi_neg, margin, loss_form)
-    return hinge + _regularizer(table, pos, neg_flat, l1, l2)
+    return _forward(table, pos, neg, margin, l1, l2, loss_form)[0]
 
 
 def _backward(terms: dict, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,41 +253,34 @@ def _backward(terms: dict, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _aggregate(ids: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-id sums of grads rows; bincount adds in row order, as np.add.at does."""
     unique, inverse = np.unique(ids, return_inverse=True)
-    acc = np.zeros((unique.shape[0],) + grads.shape[1:], dtype=np.float64)
-    np.add.at(acc, inverse, grads)
-    return unique, acc
+    width = math.prod(grads.shape[1:])
+    bins = (inverse[:, None] * width + np.arange(width)).ravel()
+    acc = np.bincount(bins, weights=grads.ravel())
+    return unique, acc.reshape((unique.shape[0],) + grads.shape[1:])
 
 
 def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
                     config: TrainConfig) -> tuple[float, GradientBuffer]:
-    neg_flat = neg.reshape(-1, 3)
-    terms_pos = _phi_terms(table, pos)
-    terms_neg = _phi_terms(table, neg_flat)
-    phi_neg = terms_neg["phi"].reshape(neg.shape[:2])
-    hinge, w_pos, w_neg = _hinge_weights(terms_pos["phi"], phi_neg,
-                                         config.margin, config.loss_form)
-
-    gh_pos, gt_pos, gr_pos = _backward(terms_pos, w_pos)
-    gh_neg, gt_neg, gr_neg = _backward(terms_neg, w_neg.ravel())
-
+    loss, triples, terms, upstream = _forward(table, pos, neg, config.margin,
+                                              config.l1, config.l2, config.loss_form)
+    grad_head, grad_tail, grad_rel = _backward(terms, upstream)
     if config.l1 > 0.0:
-        for terms, grads_h, grads_t in ((terms_pos, gh_pos, gt_pos),
-                                        (terms_neg, gh_neg, gt_neg)):
-            grads_h += 2.0 * config.l1 * terms["heads"]
-            grads_t += 2.0 * config.l1 * terms["tails"]
+        grad_head += 2.0 * config.l1 * terms["heads"]
+        grad_tail += 2.0 * config.l1 * terms["tails"]
     if config.l2 > 0.0:
-        gr_pos += 2.0 * config.l2 * terms_pos["rels"]
-        gr_neg += 2.0 * config.l2 * terms_neg["rels"]
+        grad_rel += 2.0 * config.l2 * terms["rels"]
 
-    entity_ids = np.concatenate([pos[:, 0], pos[:, 2], neg_flat[:, 0], neg_flat[:, 2]])
-    entity_grads = np.concatenate([gh_pos, gt_pos, gh_neg, gt_neg])
-    relation_ids = np.concatenate([pos[:, 1], neg_flat[:, 1]])
-    relation_grads = np.concatenate([gr_pos, gr_neg])
-
+    # Positive heads, positive tails, negative heads, negative tails: the
+    # per-id sums add (and round) in this order.
+    n_pos = pos.shape[0]
+    entity_ids = np.concatenate([triples[:n_pos, 0], triples[:n_pos, 2],
+                                 triples[n_pos:, 0], triples[n_pos:, 2]])
+    entity_grads = np.concatenate([grad_head[:n_pos], grad_tail[:n_pos],
+                                   grad_head[n_pos:], grad_tail[n_pos:]])
     ent_ids, ent_acc = _aggregate(entity_ids, entity_grads)
-    rel_ids, rel_acc = _aggregate(relation_ids, relation_grads)
-    loss = hinge + _regularizer(table, pos, neg_flat, config.l1, config.l2)
+    rel_ids, rel_acc = _aggregate(triples[:, 1], grad_rel)
     return loss, GradientBuffer(ent_ids, ent_acc, rel_ids, rel_acc)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatkge import train
 from quatkge.data import HEAD, TAIL
 from quatkge.model import init_embeddings
 from quatkge.train import (AdagradState, EPS_ADAGRAD, GradientBuffer,
@@ -227,7 +228,7 @@ class TestGradients:
         table.entities[2] = table.entities[0] + 5.0
         cfg = TrainConfig(k=2, margin=1.0, epochs=1)
         buffer = grad_batch(table, [(0, 0, 1)], [[(0, 0, 2)]], cfg)
-        assert buffer.is_zero()
+        assert np.all(buffer.entity_grads == 0) and np.all(buffer.relation_grads == 0)
 
     @pytest.mark.parametrize("neg_rate", [1, 5])
     def test_finite_differences(self, neg_rate):
@@ -268,6 +269,80 @@ class TestGradients:
         table.relations[buffer.relation_ids] -= alpha * buffer.relation_grads
         after = batch_loss(table, pos, neg, cfg.margin, cfg.l1, cfg.l2)
         assert after <= before + 1e-15
+
+
+def add_at_sums(ids, grads):
+    """Per-id sums by np.add.at, one row after another."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    acc = np.zeros((unique.shape[0],) + grads.shape[1:])
+    np.add.at(acc, inverse, grads)
+    return unique, acc
+
+
+def two_pass_loss_and_grads(table, pos, neg, cfg):
+    """Positives and negatives through separate forward and backward passes."""
+    neg_flat = neg.reshape(-1, 3)
+    t_pos, t_neg = train._phi_terms(table, pos), train._phi_terms(table, neg_flat)
+    hinge, w_pos, w_neg = train._hinge_weights(t_pos["phi"], t_neg["phi"].reshape(neg.shape[:2]),
+                                               cfg.margin, cfg.loss_form)
+    grads = [train._backward(t_pos, w_pos), train._backward(t_neg, w_neg.ravel())]
+    penalty = 0.0
+    for terms, (g_head, g_tail, g_rel), triples in zip((t_pos, t_neg), grads, (pos, neg_flat)):
+        if cfg.l1 > 0.0:
+            g_head += 2.0 * cfg.l1 * terms["heads"]
+            g_tail += 2.0 * cfg.l1 * terms["tails"]
+            ent = table.entities[triples[:, [0, 2]].ravel()]
+            penalty += cfg.l1 * float(np.sum(ent * ent))
+        if cfg.l2 > 0.0:
+            g_rel += 2.0 * cfg.l2 * terms["rels"]
+            rel = table.relations[triples[:, 1]]
+            penalty += cfg.l2 * float(np.sum(rel * rel))
+    (gh_pos, gt_pos, gr_pos), (gh_neg, gt_neg, gr_neg) = grads
+    ent = add_at_sums(np.concatenate([pos[:, 0], pos[:, 2], neg_flat[:, 0], neg_flat[:, 2]]),
+                      np.concatenate([gh_pos, gt_pos, gh_neg, gt_neg]))
+    rel = add_at_sums(np.concatenate([pos[:, 1], neg_flat[:, 1]]),
+                      np.concatenate([gr_pos, gr_neg]))
+    return hinge, penalty, ent, rel
+
+
+class TestFusedStep:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_ids=st.integers(1, 8), n_rows=st.integers(1, 60),
+           shape=st.sampled_from([(1,), (4, 1), (4, 3)]))
+    def test_aggregate_matches_add_at(self, data, n_ids, n_rows, shape):
+        ids = 7 * np.array(data.draw(st.lists(st.integers(0, n_ids - 1), min_size=n_rows,
+                                              max_size=n_rows)), dtype=np.int64) + 3
+        value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-8, 1e8),
+                          st.floats(-1e8, -1e-8))
+        size = n_rows * int(np.prod(shape))
+        grads = np.array(data.draw(st.lists(value, min_size=size, max_size=size)),
+                         dtype=np.float64).reshape((n_rows,) + shape)
+        got_ids, got = train._aggregate(ids, grads)
+        want_ids, want = add_at_sums(ids, grads)
+        assert np.array_equal(got_ids, want_ids) and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("loss_form", ["pairwise", "pointwise"])
+    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (0.03, 0.05)])
+    def test_one_pass_equals_two_passes(self, loss_form, l1, l2):
+        for seed in range(8):
+            rng = np.random.default_rng(40 + seed)
+            table = init_embeddings(6, 2, 3, seed=seed)
+            pos, neg = toy_batch(rng, n=6, neg_rate=4, batch=8)
+            cfg = TrainConfig(k=3, margin=0.5 + seed, l1=l1, l2=l2, neg_rate=4,
+                              loss_form=loss_form)
+            loss, buffer = train._loss_and_grads(table, pos, neg, cfg)
+            hinge, penalty, (ent_ids, ent), (rel_ids, rel) = two_pass_loss_and_grads(
+                table, pos, neg, cfg)
+            terms = train._phi_terms(table, np.concatenate([pos, neg.reshape(-1, 3)]))
+            assert train._regularizer(terms, pos.shape[0], l1, l2) == penalty
+            assert loss == hinge + penalty
+            assert batch_loss(table, pos, neg, cfg.margin, l1, l2, loss_form) == loss
+            assert np.array_equal(buffer.entity_ids, ent_ids)
+            assert np.array_equal(buffer.entity_grads, ent)
+            assert np.array_equal(buffer.relation_ids, rel_ids)
+            assert np.array_equal(buffer.relation_grads, rel)
 
 
 class TestAdagrad:
