@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +235,7 @@ def cmd_train(args) -> int:
                                                 ("runs", len(combos))]
         best = None
         for index, combo in enumerate(combos):
-            config = base.with_overrides(**combo)
+            config = replace(base, **combo)
             result = fit(store, config)
             mrr = _validation_mrr(result, store, constrained)
             for key, value in combo.items():

@@ -15,14 +15,16 @@ triple, for N entities and M relations:
     tails observed with relation r.
 
 Every key with prefix p lies in ``[p*N, (p+1)*N)``, so two binary searches
-find a prefix's ids, already ascending. Keys stay below ``N*N*M``, which must
-be under 2**63: more than 87 million entities even at M = 1,200.
+find a prefix's ids, already ascending. The lookups take a whole block of
+prefixes at once, one ``searchsorted`` pair per block, and a type key
+``r*N + e`` is also the flat index of (r, e) in an ``(M, N)`` table. The key
+layout stays inside this module. Keys stay below ``N*N*M``, which must be
+under 2**63: more than 87 million entities even at M = 1,200.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -93,47 +95,60 @@ class TripleStore:
         found = self.tail_keys.searchsorted(keys)
         return self.tail_keys[np.minimum(found, self.tail_keys.size - 1)] == keys
 
-    def type_candidates(self, relation: int, position: str) -> np.ndarray:
-        """Entity ids observed at `position` for `relation` in training.
+    def _prefix_ranges(self, keys: np.ndarray, prefixes):
+        """``(base, lo, size)`` per prefix p: ``keys[lo:lo + size] - base`` are
+        the ascending entity ids e with ``p*N + e`` in `keys`."""
+        base = np.asarray(prefixes, dtype=np.int64) * self.n_entities
+        lo = keys.searchsorted(base)
+        return base, lo, keys.searchsorted(base + self.n_entities) - lo
 
-        Falls back to the full entity set when the relation never appears in
-        training at that position.
-        """
+    def _type_keys(self, position: str) -> np.ndarray:
         if position == HEAD:
-            observed = self._ids_with_prefix(self.type_head_keys, relation)
-        elif position == TAIL:
-            observed = self._ids_with_prefix(self.type_tail_keys, relation)
-        else:
-            raise ValueError(f"position must be 'head' or 'tail', got {position!r}")
-        if observed.size == 0:
-            return np.arange(self.n_entities, dtype=np.int64)
-        return observed
+            return self.type_head_keys
+        if position == TAIL:
+            return self.type_tail_keys
+        raise ValueError(f"position must be 'head' or 'tail', got {position!r}")
+
+    def type_pools(self, position: str) -> np.ndarray:
+        """``(M, N)`` bool table: row r marks the entities observed at
+        `position` of relation r in training.
+
+        A relation never observed at that position gets an all-True row, the
+        fallback to the full entity set.
+        """
+        pools = np.zeros((self.n_relations, self.n_entities), dtype=bool)
+        pools.ravel()[self._type_keys(position)] = True  # r*N + e is the flat index
+        pools[~pools.any(axis=1)] = True
+        return pools
 
     def sample_type_candidates(self, relations, position: str,
                                rng: np.random.Generator) -> np.ndarray:
-        """One uniform draw from ``type_candidates(r, position)`` per r in
+        """One uniform draw from row r of ``type_pools(position)`` per r in
         `relations`, including its fallback to all entities."""
-        keys = self.type_head_keys if position == HEAD else self.type_tail_keys
-        base = np.asarray(relations, dtype=np.int64) * self.n_entities
-        lo = keys.searchsorted(base)
-        size = keys.searchsorted(base + self.n_entities) - lo
+        keys = self._type_keys(position)
+        base, lo, size = self._prefix_ranges(keys, relations)
         pooled = size > 0
         ids = rng.integers(np.where(pooled, size, self.n_entities))
         ids[pooled] = keys[lo[pooled] + ids[pooled]] - base[pooled]
         return ids
 
-    def true_competitors(self, triple: Triple, position: str) -> np.ndarray:
-        """Entity ids whose substitution at `position` yields a known-true triple."""
-        head, relation, tail = triple
-        if position == HEAD:
-            return self._ids_with_prefix(self.head_keys,
-                                         tail * self.n_relations + relation)
-        return self._ids_with_prefix(self.tail_keys, head * self.n_relations + relation)
+    def true_competitors(self, rows, position: str) -> tuple[np.ndarray, np.ndarray]:
+        """Known-true substitutions at `position` for a ``(B, 3)`` block.
 
-    def _ids_with_prefix(self, keys: np.ndarray, prefix: int) -> np.ndarray:
-        """Ascending entity ids e with ``prefix*N + e`` in `keys`."""
-        base = prefix * self.n_entities
-        return keys[keys.searchsorted(base):keys.searchsorted(base + self.n_entities)] - base
+        Returns ragged ``(row index, entity id)`` pairs: every e whose
+        substitution into row i at `position` is a triple of some split, in
+        ascending order of row, then id.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if position == HEAD:
+            keys, prefixes = self.head_keys, rows[:, 2] * self.n_relations + rows[:, 1]
+        else:
+            keys, prefixes = self.tail_keys, rows[:, 0] * self.n_relations + rows[:, 1]
+        base, lo, size = self._prefix_ranges(keys, prefixes)
+        row = np.repeat(np.arange(rows.shape[0]), size)
+        # keys position of each pair: its row's lo plus its offset in the row
+        index = np.arange(row.size) + np.repeat(lo - (np.cumsum(size) - size), size)
+        return row, keys[index] - base[row]
 
     def stats(self) -> dict:
         return {
@@ -195,8 +210,3 @@ def load_dataset(train_path, valid_path, test_path) -> TripleStore:
     return build_store(load_split(train_path), load_split(valid_path),
                        load_split(test_path))
 
-
-def dataset_dir_paths(directory) -> tuple[Path, Path, Path]:
-    """Conventional file names inside a benchmark dataset directory."""
-    base = Path(directory)
-    return base / "train.txt", base / "valid.txt", base / "test.txt"

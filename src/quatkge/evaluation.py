@@ -7,11 +7,14 @@ mode removes candidates whose substitution forms a triple known true in any
 split (other than the query itself). Type-constrained runs restrict the
 candidate set to the relation's observed head/tail entities; when that set
 excludes the gold entity it is added back and the event is counted.
+
+A block of queries is the only unit of ranking: one ``(B, N)`` score block
+from the candidate sweep, one ``(B, N)`` bool candidate mask built from the
+store's block lookups, and row-wise counts of better and tied candidates.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +23,14 @@ from . import train
 from .data import HEAD, TAIL, TripleStore
 from .model import CandidateScorer, EmbeddingTable, lower_is_better, score_triples
 
-logger = logging.getLogger(__name__)
-
 HITS_AT = (1, 3, 10)
 MODES = ("raw", "filtered")
 
-# Bytes of candidate scores alive at once while ranking a split: a block's
-# tail and head score arrays, float64. At N = 40,943 it gives 25 triples per
-# block; smaller budgets were measured slower at that size.
+# Sets the block height while ranking a split: 16 bytes per candidate per
+# triple, room for a block's float64 tail and head scores. The bool candidate
+# mask and _mean_rank's two bool comparison arrays come on top, one byte per
+# candidate per triple each. At N = 40,943 it gives 25 triples per block;
+# smaller budgets were measured slower at that size.
 _SCORE_BYTES = 16 * 2**20
 
 
@@ -55,111 +58,87 @@ class ClassificationReport:
     seed: int
 
 
-def _mean_rank(scores: np.ndarray, gold: int, mask: np.ndarray,
-               lower_is_better: bool) -> float:
-    gold_score = scores[gold]
-    candidate_scores = scores[mask]
-    if lower_is_better:
-        better = int(np.count_nonzero(candidate_scores < gold_score))
-    else:
-        better = int(np.count_nonzero(candidate_scores > gold_score))
-    tied = int(np.count_nonzero(candidate_scores == gold_score))  # gold included
-    return better + (tied + 1) / 2.0
+def _mean_rank(scores: np.ndarray, gold: np.ndarray, mask: np.ndarray,
+               lower_is_better: bool) -> np.ndarray:
+    """``(B,)`` mean-tie ranks of each row's gold column among its masked
+    candidates in a ``(B, N)`` score block."""
+    gold_scores = scores[np.arange(gold.size), gold][:, None]
+    better = scores < gold_scores if lower_is_better else scores > gold_scores
+    better &= mask
+    tied = scores == gold_scores  # gold included
+    tied &= mask
+    # int32 row sums count a bool block about twice as fast as
+    # count_nonzero(axis=1), which sums through an intp cast
+    return (better.sum(axis=1, dtype=np.int32)
+            + (tied.sum(axis=1, dtype=np.int32) + 1) / 2.0)
 
 
-def _candidate_mask(store: TripleStore, triple, position: str, mode: str,
-                    constraint: bool) -> tuple[np.ndarray, bool]:
-    """Boolean candidate mask (gold always kept) plus a gold-reinserted flag."""
-    gold = triple[0] if position == HEAD else triple[2]
-    reinserted = False
-    if constraint:
-        relation = triple[1]
-        mask = np.zeros(store.n_entities, dtype=bool)
-        mask[store.type_candidates(relation, position)] = True
-        if not mask[gold]:
-            reinserted = True
-            mask[gold] = True
-            logger.debug("gold entity %d absent from type candidates of relation %d",
-                         gold, relation)
-    else:
-        mask = np.ones(store.n_entities, dtype=bool)
-    if mode == "filtered":
-        mask[store.true_competitors(tuple(int(x) for x in triple), position)] = False
-        mask[gold] = True
-    return mask, reinserted
+def _candidate_mask(store: TripleStore, rows: np.ndarray, position: str, mode: str,
+                    pools: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, N)`` candidate masks for a ``(B, 3)`` block (gold always kept)
+    plus a ``(B,)`` gold-reinserted flag.
 
-
-def rank_entity(table: EmbeddingTable, store: TripleStore, triple,
-                position: str, mode: str = "filtered", constraint: bool = False,
-                scorer: str = "quate_d") -> float:
-    """Rank of the true entity among all candidates in the corrupted position."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    cand = CandidateScorer(table, scorer)
-    h, r, t = (int(x) for x in triple)
-    scores = cand.all_heads(r, t) if position == HEAD else cand.all_tails(h, r)
-    mask, _ = _candidate_mask(store, (h, r, t), position, mode, constraint)
-    gold = h if position == HEAD else t
-    return _mean_rank(scores, gold, mask, lower_is_better(scorer))
-
-
-def _iter_query_ranks(table, store, mode, constraint, scorer, split):
-    """Yield (relation, rank, reinserted) for both directions of every triple.
-
-    Triples are scored a block at a time, tails then heads; each block reads
-    the entity table twice, and its size keeps both score arrays within
-    _SCORE_BYTES.
+    `pools` is ``store.type_pools(position)`` under type constraints, else None.
     """
-    cand = CandidateScorer(table, scorer)
-    lower = lower_is_better(scorer)
-    triples = store.split(split)
-    block = max(1, _SCORE_BYTES // (2 * 8 * table.n_entities))
-    for start in range(0, triples.shape[0], block):
-        rows = triples[start:start + block]
-        tail_block = cand.all_tails(rows[:, 0], rows[:, 1])
-        head_block = cand.all_heads(rows[:, 1], rows[:, 2])
-        for (h, r, t), tails, heads in zip(rows.tolist(), tail_block, head_block):
-            for position, scores, gold in ((TAIL, tails, t), (HEAD, heads, h)):
-                mask, reinserted = _candidate_mask(store, (h, r, t), position, mode,
-                                                   constraint)
-                yield r, _mean_rank(scores, gold, mask, lower), reinserted
+    gold = rows[:, 0] if position == HEAD else rows[:, 2]
+    at_gold = (np.arange(rows.shape[0]), gold)
+    if pools is None:
+        mask = np.ones((rows.shape[0], store.n_entities), dtype=bool)
+        reinserted = np.zeros(rows.shape[0], dtype=bool)
+    else:
+        mask = pools[rows[:, 1]]
+        reinserted = ~mask[at_gold]
+        mask[at_gold] = True
+    if mode == "filtered":
+        mask[store.true_competitors(rows, position)] = False
+        mask[at_gold] = True
+    return mask, reinserted
 
 
 def link_prediction(table: EmbeddingTable, store: TripleStore,
                     mode: str = "filtered", constraint: bool = False,
                     scorer: str = "quate_d", split: str = "test") -> RankingReport:
-    """Rank head and tail queries for every triple of the split."""
+    """Rank head and tail queries for every triple of the split.
+
+    Triples are ranked a block at a time, tails then heads, in blocks sized
+    by _SCORE_BYTES. The ranks fill a ``(T, 2)`` array, tail then head per
+    triple, so MR, MRR, Hits and per-relation MRR all sum the same values in
+    the same order.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    ranks: list[float] = []
-    by_relation: dict[int, list[float]] = {}
-    reinserted_total = 0
-    for relation, rank, reinserted in _iter_query_ranks(
-            table, store, mode, constraint, scorer, split):
-        ranks.append(rank)
-        by_relation.setdefault(relation, []).append(rank)
-        reinserted_total += int(reinserted)
-    if not ranks:
+    cand = CandidateScorer(table, scorer)
+    lower = lower_is_better(scorer)
+    triples = store.split(split)
+    if triples.shape[0] == 0:
         raise ValueError(f"split {split!r} is empty")
-    arr = np.array(ranks)
-    recip = 1.0 / arr
+    pools = ({position: store.type_pools(position) for position in (TAIL, HEAD)}
+             if constraint else {TAIL: None, HEAD: None})
+    ranks = np.empty((triples.shape[0], 2))
+    reinserted = 0
+    block = max(1, _SCORE_BYTES // (2 * 8 * table.n_entities))
+    for start in range(0, triples.shape[0], block):
+        rows = triples[start:start + block]
+        h, r, t = rows.T
+        for column, (position, scores, gold) in enumerate((
+                (TAIL, cand.all_tails(h, r), t), (HEAD, cand.all_heads(r, t), h))):
+            mask, added = _candidate_mask(store, rows, position, mode, pools[position])
+            ranks[start:start + block, column] = _mean_rank(scores, gold, mask, lower)
+            reinserted += int(np.count_nonzero(added))
+    ranks = ranks.ravel()
+    recip = 1.0 / ranks
+    relations = np.repeat(triples[:, 1], 2)
     return RankingReport(
-        mr=float(arr.mean()),
+        mr=float(ranks.mean()),
         mrr=float(recip.mean()),
-        hits={n: float(np.mean(arr <= n)) for n in HITS_AT},
+        hits={n: float(np.mean(ranks <= n)) for n in HITS_AT},
         mode=mode,
-        per_relation_mrr={rel: float(np.mean(1.0 / np.array(r_ranks)))
-                          for rel, r_ranks in sorted(by_relation.items())},
-        count=len(ranks),
-        gold_reinserted=reinserted_total,
+        # a set, not np.unique, whose hash path imports numpy.ma (~1 MB RSS)
+        per_relation_mrr={rel: float(np.mean(recip[relations == rel]))
+                          for rel in sorted(set(triples[:, 1].tolist()))},
+        count=ranks.size,
+        gold_reinserted=reinserted,
     )
-
-
-def per_relation_mrr(table: EmbeddingTable, store: TripleStore,
-                     mode: str = "filtered", constraint: bool = False,
-                     scorer: str = "quate_d", split: str = "test") -> dict[int, float]:
-    """Mean reciprocal rank restricted to each relation's test queries."""
-    return link_prediction(table, store, mode, constraint, scorer, split).per_relation_mrr
 
 
 def _best_threshold(pos_scores: np.ndarray, neg_scores: np.ndarray,

@@ -30,7 +30,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,9 +93,6 @@ class TrainConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def with_overrides(self, **kwargs) -> "TrainConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass

@@ -1,19 +1,111 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately takes the slow road: scores from the scalar
-``Quaternion`` class (numpy complex128 for ``rotate``), sort-based ranks, and
-exhaustive threshold scans. None of it shares code with the vectorized
-production paths it verifies.
+``Quaternion`` class below (numpy complex128 for ``rotate``), sort-based
+ranks, linear scans of the splits, and exhaustive threshold scans. The only
+names taken from the package are the ``data`` position constants, so none of
+it shares code with the vectorized production paths it verifies.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from quatkge.data import HEAD, TAIL
-from quatkge.quat import Quaternion
+
+EPS_NORM = 1e-12
+
+
+class ZeroQuaternionError(ArithmeticError):
+    """A scalar quaternion of magnitude at or below EPS_NORM was normalized."""
+
+
+@dataclass(frozen=True, slots=True)
+class Quaternion:
+    """A scalar quaternion a + b*i + c*j + d*k."""
+
+    a: float = 0.0
+    b: float = 0.0
+    c: float = 0.0
+    d: float = 0.0
+
+    def __add__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return Quaternion(self.a + other.a, self.b + other.b,
+                          self.c + other.c, self.d + other.d)
+
+    def __sub__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return Quaternion(self.a - other.a, self.b - other.b,
+                          self.c - other.c, self.d - other.d)
+
+    def __neg__(self) -> "Quaternion":
+        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+
+    def __mul__(self, other):
+        """Hamilton product (non-commutative) or scalar scaling."""
+        if isinstance(other, Quaternion):
+            return self.hamilton(other)
+        if isinstance(other, (int, float)):
+            return Quaternion(self.a * other, self.b * other,
+                              self.c * other, self.d * other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float)):
+            return Quaternion(self.a * other, self.b * other,
+                              self.c * other, self.d * other)
+        return NotImplemented
+
+    def hamilton(self, other: "Quaternion") -> "Quaternion":
+        """Hamilton product self * other.
+
+        Equivalent to the scalar/vector form (p0*q0 - v.w, p0*w + q0*v + v x w).
+        """
+        p0, p1, p2, p3 = self.a, self.b, self.c, self.d
+        q0, q1, q2, q3 = other.a, other.b, other.c, other.d
+        return Quaternion(
+            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3,
+            p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1,
+        )
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.a, -self.b, -self.c, -self.d)
+
+    def norm_sq(self) -> float:
+        """Squared magnitude a^2 + b^2 + c^2 + d^2."""
+        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+
+    def magnitude(self) -> float:
+        return math.sqrt(self.norm_sq())
+
+    def dot(self, other: "Quaternion") -> float:
+        return (self.a * other.a + self.b * other.b
+                + self.c * other.c + self.d * other.d)
+
+    def normalize(self, eps: float = EPS_NORM) -> "Quaternion":
+        """Scale to unit magnitude; raises ZeroQuaternionError below eps."""
+        mag = self.magnitude()
+        if mag <= eps:
+            raise ZeroQuaternionError(f"cannot normalize quaternion with magnitude {mag!r}")
+        return Quaternion(self.a / mag, self.b / mag, self.c / mag, self.d / mag)
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.a, self.b, self.c, self.d)
+
+
+Quaternion.ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
+Quaternion.ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
+Quaternion.I = Quaternion(0.0, 1.0, 0.0, 0.0)
+Quaternion.J = Quaternion(0.0, 0.0, 1.0, 0.0)
+Quaternion.K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def _coordinates(row):
@@ -112,12 +204,17 @@ def reference_ranks(table, store, mode, constraint=False, split="test"):
 
 
 def reference_report(table, store, mode, constraint=False, split="test"):
-    """Aggregate metrics from the reference ranks."""
+    """Aggregate metrics from the reference ranks, plus the number of golds
+    outside their type pool (counted only when `constraint` is set)."""
     pairs = reference_ranks(table, store, mode, constraint, split)
     ranks = np.array([rank for _, rank in pairs])
     by_relation: dict[int, list[float]] = {}
     for relation, rank in pairs:
         by_relation.setdefault(relation, []).append(rank)
+    reinserted = (sum(gold not in observed_ids(store, r, position)
+                      for h, r, t in _rows(store.split(split))
+                      for position, gold in ((TAIL, t), (HEAD, h)))
+                  if constraint else 0)
     return {
         "mr": float(ranks.mean()),
         "mrr": float((1.0 / ranks).mean()),
@@ -125,95 +222,9 @@ def reference_report(table, store, mode, constraint=False, split="test"):
         "per_relation_mrr": {rel: float(np.mean(1.0 / np.array(rr)))
                              for rel, rr in sorted(by_relation.items())},
         "count": len(ranks),
+        "gold_reinserted": reinserted,
         "ranks": ranks,
     }
-
-
-def dense_grads(table, buffer):
-    """Scatter a GradientBuffer back to dense arrays for comparison."""
-    ent = np.zeros_like(table.entities)
-    rel = np.zeros_like(table.relations)
-    ent[buffer.entity_ids] = buffer.entity_grads
-    rel[buffer.relation_ids] = buffer.relation_grads
-    return ent, rel
-
-
-def finite_difference_check(table, pos, neg, config, eps=1e-6,
-                            rel_tol=1e-5, abs_floor=1e-8):
-    """Check every analytic partial against central finite differences.
-
-    A partial passes through either arm: absolute difference within
-    `abs_floor` (the finite-difference noise floor for tiny partials) or
-    relative difference within `rel_tol`. Returns the worst relative error
-    among the partials large enough to measure.
-    """
-    from quatkge.train import batch_loss, grad_batch
-
-    buffer = grad_batch(table, pos, neg, config)
-    dense_e, dense_r = dense_grads(table, buffer)
-    worst_rel = 0.0
-    for arr, dense in ((table.entities, dense_e), (table.relations, dense_r)):
-        flat = arr.ravel()
-        dflat = dense.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = batch_loss(table, pos, neg, config.margin, config.l1,
-                            config.l2, config.loss_form)
-            flat[idx] = orig - eps
-            down = batch_loss(table, pos, neg, config.margin, config.l1,
-                              config.l2, config.loss_form)
-            flat[idx] = orig
-            fd = (up - down) / (2 * eps)
-            analytic = dflat[idx]
-            diff = abs(fd - analytic)
-            if diff <= abs_floor:
-                continue
-            rel = diff / max(abs(fd), abs(analytic))
-            worst_rel = max(worst_rel, rel)
-            assert rel < rel_tol, (
-                f"gradient mismatch at flat index {idx}: fd={fd!r} "
-                f"analytic={analytic!r} rel={rel:.3e} abs={diff:.3e}")
-    return worst_rel
-
-
-def random_batch(rng, n=5, m=2, neg_rate=2, batch=3):
-    """Random positives with relation-preserving corruptions."""
-    pos = np.stack([rng.integers(n, size=batch), rng.integers(m, size=batch),
-                    rng.integers(n, size=batch)], axis=1)
-    neg = np.stack([rng.integers(n, size=(batch, neg_rate)),
-                    np.repeat(pos[:, 1][:, None], neg_rate, axis=1),
-                    rng.integers(n, size=(batch, neg_rate))], axis=2)
-    return pos, neg
-
-
-def smooth_instance(seed, neg_rate, l1=0.0, l2=0.0, margin=1.0, n=5, m=2, k=4):
-    """Random (table, batch) instance kept away from hinge kinks and phi = 0.
-
-    Central differences are only meaningful where the loss is differentiable,
-    so draws whose distances or hinge margins sit within 1e-4 of a kink are
-    redrawn.
-    """
-    from quatkge.model import init_embeddings
-    from quatkge.train import TrainConfig
-
-    rng = np.random.default_rng(seed)
-    while True:
-        table = init_embeddings(n, m, k, seed=int(rng.integers(2**31)))
-        pos, neg = random_batch(rng, n=n, m=m, neg_rate=neg_rate, batch=3)
-        phis = []
-        margins = []
-        for i in range(pos.shape[0]):
-            p = reference_score(table, *pos[i])
-            phis.append(p)
-            for j in range(neg.shape[1]):
-                nscore = reference_score(table, *neg[i, j])
-                phis.append(nscore)
-                margins.append(margin + p - nscore)
-        if min(phis) > 1e-4 and min(abs(m_) for m_ in margins) > 1e-4:
-            cfg = TrainConfig(k=k, margin=margin, l1=l1, l2=l2,
-                              neg_rate=neg_rate, epochs=1)
-            return table, pos, neg, cfg
 
 
 def reference_threshold(pos_scores, neg_scores, lower_is_better=True) -> float:

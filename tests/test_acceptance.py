@@ -16,13 +16,13 @@ from quatkge.evaluation import link_prediction
 from quatkge.model import init_embeddings, save_checkpoint, score_triples
 from quatkge.properties import (check_antisymmetry, check_composition,
                                 check_inversion, check_symmetry, check_trained)
-from quatkge.quat import Quaternion
 from quatkge.reporting import ranking_items, render_keyvalue
 from quatkge.train import fit
 
+import gradcheck
 import oracles
-from test_data import BENCHMARK_STATS, benchmark_dir
-from quatkge.data import dataset_dir_paths, load_dataset
+from oracles import Quaternion
+from test_data import BENCHMARK_STATS, load_benchmark
 
 
 def verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -74,10 +74,10 @@ class TestCriterion2:
         count = 0
         for neg_rate in (1, 5):
             for seed in range(50):
-                table, pos, neg, cfg = oracles.smooth_instance(
+                table, pos, neg, cfg = gradcheck.smooth_instance(
                     1000 * neg_rate + seed, neg_rate,
                     l1=0.02 * (seed % 2), l2=0.01 * (seed % 3 == 0))
-                worst = max(worst, oracles.finite_difference_check(
+                worst = max(worst, gradcheck.finite_difference_check(
                     table, pos, neg, cfg, eps=1e-6, rel_tol=1e-5))
                 count += 1
         elapsed = time.perf_counter() - start
@@ -140,7 +140,7 @@ class TestCriterion5:
     @pytest.mark.parametrize("name", sorted(BENCHMARK_STATS))
     def test_benchmark_fidelity(self, name):
         start = time.perf_counter()
-        store = load_dataset(*dataset_dir_paths(benchmark_dir(name)))
+        store = load_benchmark(name)
         elapsed = time.perf_counter() - start
         stats = store.stats()
         verdict(5, f"dataset fidelity ({name})",

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quatkge.data import HEAD, TAIL, dataset_dir_paths, load_dataset, load_split
+from quatkge.data import HEAD, TAIL, load_dataset, load_split
 from quatkge.errors import ParseError
 
 from conftest import make_store, random_store
@@ -106,11 +106,16 @@ class TestIsTrue:
             [(x, y, z) in listed for x, y, z in zip(h.tolist(), r.tolist(), t.tolist())])
 
 
+def pool(store, relation, position):
+    """Ascending entity ids in row `relation` of the store's type pools."""
+    return np.flatnonzero(store.type_pools(position)[relation])
+
+
 class TestTypeCandidates:
     def test_observed_positions(self):
         store = make_store([("e0", "r", "e1"), ("e2", "r", "e1")])
-        heads = store.type_candidates(0, HEAD)
-        tails = store.type_candidates(0, TAIL)
+        heads = pool(store, 0, HEAD)
+        tails = pool(store, 0, TAIL)
         assert set(heads.tolist()) == {store.entity_ids["e0"], store.entity_ids["e2"]}
         assert set(tails.tolist()) == {store.entity_ids["e1"]}
 
@@ -118,16 +123,16 @@ class TestTypeCandidates:
         # relation appears only in the test split
         store = make_store([("a", "seen", "b")], [], [("a", "unseen", "b")])
         rid = store.relation_ids["unseen"]
-        assert store.type_candidates(rid, HEAD).tolist() == list(range(store.n_entities))
+        assert pool(store, rid, HEAD).tolist() == list(range(store.n_entities))
 
     def test_nonempty_for_training_relations(self, tiny_store):
         for _, r, _ in tiny_store.train:
-            assert tiny_store.type_candidates(int(r), HEAD).size > 0
-            assert tiny_store.type_candidates(int(r), TAIL).size > 0
+            assert pool(tiny_store, int(r), HEAD).size > 0
+            assert pool(tiny_store, int(r), TAIL).size > 0
 
     def test_bad_position(self, tiny_store):
         with pytest.raises(ValueError):
-            tiny_store.type_candidates(0, "middle")
+            tiny_store.type_pools("middle")
 
 
 def edge_store(seed, n_entities=12, n_relations=4):
@@ -167,27 +172,28 @@ class TestIndices:
         n, m = store.n_entities, store.n_relations
         assert store.entity_ids["last"] == n - 1
         assert store.relation_ids["r_last"] == m - 1
-        for e in range(n):
-            for r in range(m):
-                for position in (HEAD, TAIL):
-                    assert_ascending_ids(
-                        store.true_competitors((e, r, e), position),
-                        oracles.competitor_ids(store, (e, r, e), position))
+        rows = np.array([(e, r, e) for e in range(n) for r in range(m)])
+        for position in (HEAD, TAIL):
+            row, ids = store.true_competitors(rows, position)
+            assert np.all(np.diff(row) >= 0)
+            for i, (e, r, _) in enumerate(rows.tolist()):
+                assert_ascending_ids(ids[row == i],
+                                     oracles.competitor_ids(store, (e, r, e), position))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_type_candidates_match_scan(self, seed):
         store = edge_store(seed)
         for r in range(store.n_relations):
             for position in (HEAD, TAIL):
-                assert_ascending_ids(store.type_candidates(r, position),
+                assert_ascending_ids(pool(store, r, position),
                                      oracles.observed_ids(store, r, position))
 
     def test_triple_in_two_splits_counted_once(self):
         store = make_store([("a", "r", "b"), ("a", "r", "b")], [],
                            [("a", "r", "b")])
-        assert store.true_competitors((0, 0, 1), TAIL).tolist() == [1]
-        assert store.true_competitors((0, 0, 1), HEAD).tolist() == [0]
-        assert store.type_candidates(0, HEAD).tolist() == [0]
+        assert store.true_competitors([(0, 0, 1)], TAIL)[1].tolist() == [1]
+        assert store.true_competitors([(0, 0, 1)], HEAD)[1].tolist() == [0]
+        assert pool(store, 0, HEAD).tolist() == [0]
 
 
 # Table of published benchmark statistics; the test runs only when the
@@ -214,18 +220,22 @@ def benchmark_dir(name: str) -> Path:
     return path
 
 
+def load_benchmark(name: str):
+    path = benchmark_dir(name)
+    return load_dataset(path / "train.txt", path / "valid.txt", path / "test.txt")
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARK_STATS))
 def test_benchmark_statistics(name):
-    store = load_dataset(*dataset_dir_paths(benchmark_dir(name)))
+    store = load_benchmark(name)
     assert store.stats() == BENCHMARK_STATS[name]
 
 
 def test_wn18rr_similar_to_candidates_are_constrained():
-    path = benchmark_dir("wn18rr")
-    store = load_dataset(*dataset_dir_paths(path))
+    store = load_benchmark("wn18rr")
     rid = next(rid for name, rid in store.relation_ids.items() if "similar_to" in name)
-    heads = store.type_candidates(rid, HEAD)
-    tails = store.type_candidates(rid, TAIL)
+    heads = pool(store, rid, HEAD)
+    tails = pool(store, rid, TAIL)
     assert heads.size < store.n_entities
     assert tails.size < store.n_entities
     observed_heads = {int(h) for h, r, t in store.train if int(r) == rid}

@@ -7,10 +7,10 @@ from hypothesis.extra.numpy import arrays
 from quatkge import evaluation
 from quatkge.data import HEAD, TAIL
 from quatkge.errors import ZeroQuaternionError
-from quatkge.evaluation import (link_prediction, per_relation_mrr, rank_entity,
-                                triple_classification)
-from quatkge.evaluation import _best_threshold, _mean_rank
-from quatkge.model import EmbeddingTable, init_embeddings
+from quatkge.evaluation import link_prediction, triple_classification
+from quatkge.evaluation import _best_threshold, _candidate_mask, _mean_rank
+from quatkge.model import (CandidateScorer, EmbeddingTable, init_embeddings,
+                           lower_is_better)
 
 from conftest import make_store, random_store
 import oracles
@@ -27,17 +27,35 @@ def line_table(positions, n_relations=1, k=1):
     return table
 
 
+def rank_row(scores, gold, mask, lower):
+    """_mean_rank on a one-row block."""
+    return _mean_rank(scores[None], np.array([gold]), mask[None], lower)[0]
+
+
+def rank_entity(table, store, triple, position, mode, constraint=False,
+                scorer="quate_d"):
+    """One query's rank through a one-row block of the ranking path."""
+    rows = np.array([triple], dtype=np.int64)
+    h, r, t = rows.T
+    cand = CandidateScorer(table, scorer)
+    scores, gold = ((cand.all_tails(h, r), t) if position == TAIL
+                    else (cand.all_heads(r, t), h))
+    pools = store.type_pools(position) if constraint else None
+    mask, _ = _candidate_mask(store, rows, position, mode, pools)
+    return _mean_rank(scores, gold, mask, lower_is_better(scorer))[0]
+
+
 class TestMeanRank:
     def test_unique_best(self):
         scores = np.array([0.0, 1.0, 2.0, 3.0])
         mask = np.ones(4, dtype=bool)
-        assert _mean_rank(scores, 0, mask, True) == 1.0
+        assert rank_row(scores, 0, mask, True) == 1.0
 
     def test_mean_of_tied_block(self):
         scores = np.array([1.0, 2.0, 2.0, 2.0, 5.0])
         mask = np.ones(5, dtype=bool)
         # gold in a 3-way tie behind one better: positions 2, 3, 4
-        assert _mean_rank(scores, 2, mask, True) == 3.0
+        assert rank_row(scores, 2, mask, True) == 3.0
 
     def test_matches_sort_oracle_with_ties(self):
         rng = np.random.default_rng(0)
@@ -46,7 +64,7 @@ class TestMeanRank:
             mask = rng.uniform(size=12) < 0.8
             gold = int(rng.integers(12))
             mask[gold] = True
-            got = _mean_rank(scores, gold, mask, True)
+            got = rank_row(scores, gold, mask, True)
             scored = {i: float(scores[i]) for i in np.flatnonzero(mask)}
             assert got == oracles.sort_rank(scored, gold)
 
@@ -55,14 +73,14 @@ class TestMeanRank:
         scores = rng.uniform(size=30)
         mask = np.ones(30, dtype=bool)
         for gold in range(30):
-            assert (_mean_rank(scores, gold, mask, True)
-                    == _mean_rank(2.0 * scores + 1.0, gold, mask, True))
+            assert (rank_row(scores, gold, mask, True)
+                    == rank_row(2.0 * scores + 1.0, gold, mask, True))
 
     def test_higher_is_better_direction(self):
         scores = np.array([0.1, 0.9, 0.5])
         mask = np.ones(3, dtype=bool)
-        assert _mean_rank(scores, 1, mask, False) == 1.0
-        assert _mean_rank(scores, 0, mask, False) == 3.0
+        assert rank_row(scores, 1, mask, False) == 1.0
+        assert rank_row(scores, 0, mask, False) == 3.0
 
 
 class TestRankEntity:
@@ -119,7 +137,7 @@ class TestRankEntity:
     def test_bad_mode(self, fixture50):
         store, table = fixture50
         with pytest.raises(ValueError):
-            rank_entity(table, store, (0, 0, 1), TAIL, "sorted")
+            link_prediction(table, store, "sorted")
 
 
 class TestLinkPrediction:
@@ -204,7 +222,7 @@ class TestLinkPrediction:
         report = link_prediction(table, store, mode="filtered")
         assert set(report.per_relation_mrr) == {0}
         assert report.per_relation_mrr[0] == pytest.approx(report.mrr)
-        assert per_relation_mrr(table, store) == report.per_relation_mrr
+        assert link_prediction(table, store).per_relation_mrr == report.per_relation_mrr
 
     def test_gold_reinserted_counted(self):
         # relation r's training tails never include the test tail "odd"
@@ -291,20 +309,38 @@ class TestScoreBlocks:
     def use_blocks(monkeypatch, table, triples):
         monkeypatch.setattr(evaluation, "_SCORE_BYTES", 2 * 8 * table.n_entities * triples)
 
+    @staticmethod
+    def pooled_instance(store, table):
+        """`store` plus three test triples: two whose gold, a new entity, lies
+        outside relation 0's type pool, and one whose relation never occurs in
+        training, so its pools fall back to every entity."""
+        names = lambda arr: [(store.entity_names[h], store.relation_names[r],
+                              store.entity_names[t]) for h, r, t in arr.tolist()]
+        first, rel = store.entity_names[0], store.relation_names[0]
+        extra = [(first, rel, "fresh"), ("fresh", rel, first), (first, "unseen", first)]
+        pooled = make_store(names(store.train), names(store.valid),
+                            names(store.test) + extra)
+        return pooled, init_embeddings(pooled.n_entities, pooled.n_relations,
+                                       table.k, seed=13)
+
     @pytest.mark.parametrize("triples", [1, 2, 3])
     def test_oracle_equivalence(self, fixture50, monkeypatch, triples):
-        store, table = fixture50
-        assert store.test.shape[0] % 3 != 0  # blocks of 3 end in a partial one
-        self.use_blocks(monkeypatch, table, triples)
-        for constraint in (False, True):
-            for mode in ("raw", "filtered"):
-                report = link_prediction(table, store, mode=mode, constraint=constraint)
-                expected = oracles.reference_report(table, store, mode, constraint)
-                assert report.mr == expected["mr"]
-                assert report.mrr == expected["mrr"]
-                assert report.hits == expected["hits"]
-                assert report.per_relation_mrr == expected["per_relation_mrr"]
-                assert report.count == expected["count"]
+        instances = [(fixture50, 0), (self.pooled_instance(*fixture50), 2)]
+        for (store, table), reinserted_at_least in instances:
+            assert store.test.shape[0] % 3 != 0  # blocks of 3 end in a partial one
+            self.use_blocks(monkeypatch, table, triples)
+            for constraint in (False, True):
+                for mode in ("raw", "filtered"):
+                    report = link_prediction(table, store, mode=mode, constraint=constraint)
+                    expected = oracles.reference_report(table, store, mode, constraint)
+                    assert report.mr == expected["mr"]
+                    assert report.mrr == expected["mrr"]
+                    assert report.hits == expected["hits"]
+                    assert report.per_relation_mrr == expected["per_relation_mrr"]
+                    assert report.count == expected["count"]
+                    assert report.gold_reinserted == expected["gold_reinserted"]
+                    if constraint:
+                        assert expected["gold_reinserted"] >= reinserted_at_least
 
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     def test_non_finite_table_raises(self, fixture50, monkeypatch, scorer):

@@ -119,7 +119,7 @@ class TestIdentitySpecialCases:
         np.testing.assert_allclose(chained, single, atol=1e-15)
 
     def test_composition_k1_matches_scalar_chain(self):
-        from quatkge.quat import Quaternion
+        from oracles import Quaternion
         rng = np.random.default_rng(22)
         h, w2, w3, t = (Quaternion(*rng.standard_normal(4)) for _ in range(4))
         u2, u3 = w2.normalize(), w3.normalize()
