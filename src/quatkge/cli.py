@@ -214,12 +214,12 @@ def _parse_grid(spec: str) -> list[dict]:
             for combo in itertools.product(*(vals for _, vals in axes))]
 
 
-def _validation_mrr(result, store, constrained: bool) -> float:
-    if result.best_val_mrr is not None:
-        return result.best_val_mrr
-    report = evaluation.link_prediction(result.table, store, mode="filtered",
-                                        constraint=constrained, split="valid")
-    return report.mrr
+def _validation_report(result, store, constrained: bool) -> evaluation.RankingReport:
+    """The report of fit's best validation, or a fresh one when none ran."""
+    if result.best_report is not None:
+        return result.best_report
+    return evaluation.link_prediction(result.table, store, mode="filtered",
+                                      constraint=constrained, split="valid")
 
 
 def cmd_train(args) -> int:
@@ -237,25 +237,24 @@ def cmd_train(args) -> int:
         for index, combo in enumerate(combos):
             config = replace(base, **combo)
             result = fit(store, config)
-            mrr = _validation_mrr(result, store, constrained)
+            report = _validation_report(result, store, constrained)
             for key, value in combo.items():
                 grid_items.append((f"run.{index}.{key}", value))
-            grid_items.append((f"run.{index}.val_mrr", mrr))
-            if best is None or mrr > best[0]:
-                best = (mrr, index, config, result)
-        mrr, index, config, result = best
-        grid_items += [("selected.index", index), ("selected.val_mrr", mrr)]
+            grid_items.append((f"run.{index}.val_mrr", report.mrr))
+            if best is None or report.mrr > best[0].mrr:
+                best = (report, index, config, result)
+        report, index, config, result = best
+        grid_items += [("selected.index", index), ("selected.val_mrr", report.mrr)]
         _emit(args, "grid", grid_items, "grid search")
-        save_checkpoint(result.table, out / "checkpoint.bin", scorer="quate_d",
+        save_checkpoint(result.table, out / "checkpoint.bin",
                         config_hash=config.config_hash())
     else:
         config = base
         result = fit(store, config, checkpoint_path=out / "checkpoint.bin")
+        report = _validation_report(result, store, constrained)
 
     (out / "train_log.txt").write_text(reporting.training_log_lines(result.log),
                                        encoding="utf-8")
-    report = evaluation.link_prediction(result.table, store, mode="filtered",
-                                        constraint=constrained, split="valid")
     items = ([("seed", config.seed), ("best_epoch", result.best_epoch)]
              + reporting.ranking_items(report, store.relation_names))
     _emit(args, "report_valid", items, "validation (filtered)")

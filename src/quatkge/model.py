@@ -47,8 +47,11 @@ class EmbeddingTable:
 
     entities: np.ndarray   # (N, 4, k)
     relations: np.ndarray  # (M, 4, k)
-    k: int
     seed: int
+
+    @property
+    def k(self) -> int:
+        return self.entities.shape[2]
 
     @property
     def n_entities(self) -> int:
@@ -59,8 +62,7 @@ class EmbeddingTable:
         return self.relations.shape[0]
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.entities.copy(), self.relations.copy(),
-                              self.k, self.seed)
+        return EmbeddingTable(self.entities.copy(), self.relations.copy(), self.seed)
 
 
 def _draw_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
@@ -93,7 +95,7 @@ def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> Emb
     rng = np.random.default_rng(seed)
     entities = _draw_rows(rng, n_entities, k)
     relations = _draw_rows(rng, n_relations, k)
-    return EmbeddingTable(entities, relations, k, seed)
+    return EmbeddingTable(entities, relations, seed)
 
 
 def lower_is_better(scorer: str) -> bool:
@@ -198,15 +200,15 @@ class CandidateScorer:
 # each row-major by id then coordinate, little-endian float64.
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(table: EmbeddingTable, path, scorer: str = "quate_d",
-                    config_hash: str = "") -> None:
+def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
+    """Write `table` with scorer ``quate_d``, the only scorer training implements."""
     meta = {
         "config_hash": config_hash,
         "format_version": FORMAT_VERSION,
         "k": table.k,
         "n_entities": table.n_entities,
         "n_relations": table.n_relations,
-        "scorer": scorer,
+        "scorer": "quate_d",
         "seed": table.seed,
     }
     header = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -271,7 +273,7 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
                 f"{path}: payload is {payload} bytes, expected {expected}")
         entities = _read_block(handle, n, k)
         relations = _read_block(handle, m, k)
-    return EmbeddingTable(entities, relations, k, seed), meta
+    return EmbeddingTable(entities, relations, seed), meta
 
 
 def check_table_matches_store(table: EmbeddingTable, n_entities: int,

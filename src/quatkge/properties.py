@@ -24,6 +24,7 @@ DEFAULT_TOLERANCE = 1e-9
 SYMMETRY_TOLERANCE = 1e-12
 ANTISYMMETRY_GAP = 1e-6
 ANTISYMMETRY_FRACTION = 0.99
+NONCOMMUTATIVITY_GAP = 1e-6
 PROPERTY_NAMES = ("symmetry", "antisymmetry", "inversion", "composition",
                   "rotate_reduction", "associativity", "noncommutativity")
 
@@ -39,10 +40,6 @@ class PropertyVerdict:
     tolerance: float | None = None
     detail: dict = field(default_factory=dict)
     witness: dict | None = None
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _random_vectors(rng, trials: int, k: int) -> np.ndarray:
@@ -87,6 +84,22 @@ def _witness(index: int, **arrays) -> dict:
             **{name: arr[index].tolist() for name, arr in arrays.items()}}
 
 
+def _equality_verdict(name: str, gaps: np.ndarray, tolerance: float, detail: dict,
+                      **witness_arrays) -> PropertyVerdict:
+    """Verdict of an identity checked per trial: the largest gap decides, and
+    its trial is the witness."""
+    worst = int(np.argmax(gaps))
+    return PropertyVerdict(
+        property=name,
+        trials=gaps.shape[0],
+        max_violation=float(gaps[worst]),
+        passed=bool(gaps[worst] <= tolerance),
+        tolerance=tolerance,
+        detail=detail,
+        witness=_witness(worst, **witness_arrays),
+    )
+
+
 def check_inversion(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
                     rng=0, use_conjugate: bool = True) -> PropertyVerdict:
     """Rotating the tail by the conjugated relation mirrors the head rotation.
@@ -95,7 +108,7 @@ def check_inversion(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
     relation itself breaks the identity whenever the relation has imaginary
     parts.
     """
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     heads = _random_vectors(gen, trials, k)
     tails = _random_vectors(gen, trials, k)
     unit = quat.normalize(_random_relations(gen, trials, k, min_imag_frac=0.1))
@@ -103,16 +116,9 @@ def check_inversion(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
     back_rel = quat.conjugate(unit) if use_conjugate else unit
     backward = _distance(quat.hamilton(tails, back_rel), heads)
     gaps = np.abs(forward - backward)
-    worst = int(np.argmax(gaps))
-    return PropertyVerdict(
-        property="inversion",
-        trials=trials,
-        max_violation=float(gaps[worst]),
-        passed=bool(gaps[worst] <= tolerance),
-        tolerance=tolerance,
-        detail={"use_conjugate": use_conjugate},
-        witness=_witness(worst, head=heads, tail=tails, relation_unit=unit),
-    )
+    return _equality_verdict("inversion", gaps, tolerance,
+                             {"use_conjugate": use_conjugate},
+                             head=heads, tail=tails, relation_unit=unit)
 
 
 def check_symmetry(trials: int, k: int, tolerance: float = SYMMETRY_TOLERANCE,
@@ -122,7 +128,7 @@ def check_symmetry(trials: int, k: int, tolerance: float = SYMMETRY_TOLERANCE,
     Each normalized real coordinate is +1 or -1, so the rotation is an
     involution. `inject_imaginary=True` is the negative control.
     """
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     heads = _random_vectors(gen, trials, k)
     tails = _random_vectors(gen, trials, k)
     rels = _random_relations(gen, trials, k,
@@ -132,29 +138,22 @@ def check_symmetry(trials: int, k: int, tolerance: float = SYMMETRY_TOLERANCE,
     forward = _distance(quat.hamilton(heads, unit), tails)
     backward = _distance(quat.hamilton(tails, unit), heads)
     gaps = np.abs(forward - backward)
-    worst = int(np.argmax(gaps))
-    return PropertyVerdict(
-        property="symmetry",
-        trials=trials,
-        max_violation=float(gaps[worst]),
-        passed=bool(gaps[worst] <= tolerance),
-        tolerance=tolerance,
-        detail={"inject_imaginary": inject_imaginary},
-        witness=_witness(worst, head=heads, tail=tails, relation=rels),
-    )
+    return _equality_verdict("symmetry", gaps, tolerance,
+                             {"inject_imaginary": inject_imaginary},
+                             head=heads, tail=tails, relation=rels)
 
 
-def check_antisymmetry(trials: int, k: int, rng=0, min_gap: float = ANTISYMMETRY_GAP,
-                       min_fraction: float = ANTISYMMETRY_FRACTION,
+def check_antisymmetry(trials: int, k: int, rng=0,
                        real_relations: bool = False) -> PropertyVerdict:
     """Relations with imaginary parts score the two directions differently.
 
-    Passes when the score gap exceeds `min_gap` in at least `min_fraction` of
-    eligible trials (pairs with identical head and tail are excluded).
+    Passes when the score gap exceeds ANTISYMMETRY_GAP in at least
+    ANTISYMMETRY_FRACTION of eligible trials (pairs with identical head and
+    tail are excluded).
     `real_relations=True` is the control: a purely real relation is symmetric,
     so the check must report failure.
     """
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     heads = _random_vectors(gen, trials, k)
     tails = _random_vectors(gen, trials, k)
     rels = _random_relations(gen, trials, k,
@@ -166,7 +165,7 @@ def check_antisymmetry(trials: int, k: int, rng=0, min_gap: float = ANTISYMMETRY
     gaps = np.abs(forward - backward)
     eligible = ~np.all(heads == tails, axis=(1, 2))
     n_eligible = int(np.count_nonzero(eligible))
-    separated = int(np.count_nonzero(gaps[eligible] > min_gap))
+    separated = int(np.count_nonzero(gaps[eligible] > ANTISYMMETRY_GAP))
     fraction = separated / n_eligible if n_eligible else 0.0
     eligible_idx = np.flatnonzero(eligible)
     worst = int(eligible_idx[np.argmin(gaps[eligible])]) if n_eligible else 0
@@ -174,9 +173,9 @@ def check_antisymmetry(trials: int, k: int, rng=0, min_gap: float = ANTISYMMETRY
         property="antisymmetry",
         trials=trials,
         max_violation=float(np.max(gaps)) if trials else 0.0,
-        passed=bool(fraction >= min_fraction),
+        passed=bool(fraction >= ANTISYMMETRY_FRACTION),
         tolerance=None,
-        detail={"min_gap": min_gap, "min_fraction": min_fraction,
+        detail={"min_gap": ANTISYMMETRY_GAP, "min_fraction": ANTISYMMETRY_FRACTION,
                 "fraction_separated": fraction, "eligible": n_eligible,
                 "real_relations": real_relations},
         witness=_witness(worst, head=heads, tail=tails, relation=rels),
@@ -192,7 +191,7 @@ def check_composition(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
     `reverse_order=True` composes w3 (x) w2 instead; non-commutativity makes
     that control fail.
     """
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     heads = _random_vectors(gen, trials, k)
     tails = _random_vectors(gen, trials, k)
     rel2 = _random_relations(gen, trials, k, min_imag_frac=0.1)
@@ -204,16 +203,9 @@ def check_composition(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
     direct = _distance(
         quat.hamilton(heads, quat.normalize(quat.hamilton(rel2, rel3))), tails)
     gaps = np.maximum(np.abs(chained - grouped), np.abs(chained - direct))
-    worst = int(np.argmax(gaps))
-    return PropertyVerdict(
-        property="composition",
-        trials=trials,
-        max_violation=float(gaps[worst]),
-        passed=bool(gaps[worst] <= tolerance),
-        tolerance=tolerance,
-        detail={"reverse_order": reverse_order},
-        witness=_witness(worst, head=heads, tail=tails, rel2=rel2, rel3=rel3),
-    )
+    return _equality_verdict("composition", gaps, tolerance,
+                             {"reverse_order": reverse_order},
+                             head=heads, tail=tails, rel2=rel2, rel3=rel3)
 
 
 def check_rotate_reduction(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
@@ -224,7 +216,7 @@ def check_rotate_reduction(trials: int, k: int, tolerance: float = DEFAULT_TOLER
     and compares with a complex128 computation on the (a, b) components.
     `planar=False` keeps the j/k components and is the negative control.
     """
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     n_entities, n_relations = 64, 8
     table = init_embeddings(n_entities, n_relations,
                             k, int(gen.integers(2**31)))
@@ -240,16 +232,8 @@ def check_rotate_reduction(trials: int, k: int, tolerance: float = DEFAULT_TOLER
     rotated = ent[triples[:, 0]] * (rel / np.abs(rel))[triples[:, 1]]
     planar_scores = np.linalg.norm(rotated - ent[triples[:, 2]], axis=1)
     gaps = np.abs(full - planar_scores)
-    worst = int(np.argmax(gaps))
-    return PropertyVerdict(
-        property="rotate_reduction",
-        trials=trials,
-        max_violation=float(gaps[worst]),
-        passed=bool(gaps[worst] <= tolerance),
-        tolerance=tolerance,
-        detail={"planar": planar},
-        witness={"trial": worst, "triple": triples[worst].tolist()},
-    )
+    return _equality_verdict("rotate_reduction", gaps, tolerance, {"planar": planar},
+                             triple=triples)
 
 
 def check_associativity(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
@@ -258,7 +242,7 @@ def check_associativity(trials: int, k: int, tolerance: float = DEFAULT_TOLERANC
 
     `swap_inner=True` compares against p (x) (r (x) q), which differs.
     """
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     p = _random_vectors(gen, trials, k)
     q = _random_vectors(gen, trials, k)
     r = _random_vectors(gen, trials, k)
@@ -266,22 +250,13 @@ def check_associativity(trials: int, k: int, tolerance: float = DEFAULT_TOLERANC
     inner = quat.hamilton(r, q) if swap_inner else quat.hamilton(q, r)
     rhs = quat.hamilton(p, inner)
     gaps = np.max(np.abs(lhs - rhs), axis=(1, 2))
-    worst = int(np.argmax(gaps))
-    return PropertyVerdict(
-        property="associativity",
-        trials=trials,
-        max_violation=float(gaps[worst]),
-        passed=bool(gaps[worst] <= tolerance),
-        tolerance=tolerance,
-        detail={"swap_inner": swap_inner},
-        witness=_witness(worst, p=p, q=q, r=r),
-    )
+    return _equality_verdict("associativity", gaps, tolerance, {"swap_inner": swap_inner},
+                             p=p, q=q, r=r)
 
 
-def check_noncommutativity(trials: int, k: int, rng=0,
-                           min_gap: float = 1e-6) -> PropertyVerdict:
+def check_noncommutativity(trials: int, k: int, rng=0) -> PropertyVerdict:
     """There exist pairs with p (x) q != q (x) p (existence check)."""
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     p = _random_vectors(gen, trials, k)
     q = _random_vectors(gen, trials, k)
     gaps = np.max(np.abs(quat.hamilton(p, q) - quat.hamilton(q, p)), axis=(1, 2))
@@ -290,9 +265,9 @@ def check_noncommutativity(trials: int, k: int, rng=0,
         property="noncommutativity",
         trials=trials,
         max_violation=float(gaps[best]),
-        passed=bool(gaps[best] > min_gap),
+        passed=bool(gaps[best] > NONCOMMUTATIVITY_GAP),
         tolerance=None,
-        detail={"min_gap": min_gap},
+        detail={"min_gap": NONCOMMUTATIVITY_GAP},
         witness=_witness(best, p=p, q=q),
     )
 
@@ -317,7 +292,7 @@ def check_trained(table: EmbeddingTable, store: TripleStore, relation: int,
     mean |phi(h, r, t) - phi(t, r, h)| over sampled entity pairs, reported
     next to the mean score as a scale reference.
     """
-    gen = _rng(rng)
+    gen = np.random.default_rng(rng)
     unit = quat.normalize(table.relations[relation])
     imaginary = float(np.sum(unit[1:, :] ** 2) / table.k)
     n = store.n_entities

@@ -49,12 +49,12 @@ def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...ck,...ck->...k", x, y)
 
 
-def normalize(x: np.ndarray, eps: float = EPS_NORM) -> np.ndarray:
+def normalize(x: np.ndarray) -> np.ndarray:
     """Normalize every coordinate quaternion to unit magnitude.
 
-    Raises ZeroQuaternionError if any coordinate magnitude is <= eps.
+    Raises ZeroQuaternionError if any coordinate magnitude is <= EPS_NORM.
     """
     mag = magnitude(x)
-    if np.any(mag <= eps):
+    if np.any(mag <= EPS_NORM):
         raise ZeroQuaternionError("cannot normalize: a coordinate has (near-)zero magnitude")
     return x / mag[..., None, :]

@@ -38,7 +38,7 @@ def render(items: list[tuple[str, object]], fmt: str, title: str) -> str:
     return render_text(title, items)
 
 
-def ranking_items(report: RankingReport, relation_names=None) -> list[tuple[str, object]]:
+def ranking_items(report: RankingReport, relation_names) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [
         ("mode", report.mode),
         ("count", report.count),
@@ -48,15 +48,12 @@ def ranking_items(report: RankingReport, relation_names=None) -> list[tuple[str,
     items += [(f"hits_{n}", report.hits[n]) for n in sorted(report.hits)]
     items.append(("gold_reinserted", report.gold_reinserted))
     for relation, value in sorted(report.per_relation_mrr.items()):
-        label = f"per_relation_mrr.{relation}"
-        if relation_names is not None:
-            label = f"per_relation_mrr.{relation_names[relation]}"
-        items.append((label, value))
+        items.append((f"per_relation_mrr.{relation_names[relation]}", value))
     return items
 
 
 def classification_items(report: ClassificationReport,
-                         relation_names=None) -> list[tuple[str, object]]:
+                         relation_names) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [
         ("accuracy", report.accuracy),
         ("count", report.count),
@@ -64,15 +61,11 @@ def classification_items(report: ClassificationReport,
         ("global_threshold", report.global_threshold),
     ]
     for relation, value in sorted(report.thresholds.items()):
-        label = f"threshold.{relation}"
-        if relation_names is not None:
-            label = f"threshold.{relation_names[relation]}"
-        items.append((label, value))
+        items.append((f"threshold.{relation_names[relation]}", value))
     return items
 
 
-def verdict_items(verdict: PropertyVerdict,
-                  prefix: str = "") -> list[tuple[str, object]]:
+def verdict_items(verdict: PropertyVerdict, prefix: str) -> list[tuple[str, object]]:
     items = [
         (f"{prefix}property", verdict.property),
         (f"{prefix}trials", verdict.trials),
@@ -87,7 +80,7 @@ def verdict_items(verdict: PropertyVerdict,
 
 
 def diagnostic_items(diag: TrainedRelationDiagnostic,
-                     prefix: str = "") -> list[tuple[str, object]]:
+                     prefix: str) -> list[tuple[str, object]]:
     return [
         (f"{prefix}relation", diag.relation),
         (f"{prefix}imaginary_energy", diag.imaginary_energy),

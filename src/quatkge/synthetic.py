@@ -21,18 +21,16 @@ import numpy as np
 from .data import RawTriple
 
 RELATION_NAMES = ("sym", "antisym", "inverse", "compose")
+HELD_OUT_FRACTION = 0.05   # of all triples, for each of valid and test
 
 
 @dataclass
 class PlantedGraph:
-    """Raw triples split 90/5/5 plus the generating permutation."""
+    """Raw triples split 90/5/5."""
 
     train: list[RawTriple]
     valid: list[RawTriple]
     test: list[RawTriple]
-    n_entities: int
-    permutation: np.ndarray
-    seed: int
 
     def write(self, directory) -> tuple[Path, Path, Path]:
         """Write train.txt / valid.txt / test.txt under `directory`."""
@@ -54,8 +52,7 @@ def _entity(i: int) -> str:
 
 
 def planted_graph(n_entities: int = 200, sym_pairs: int = 200,
-                  seed: int = 0, valid_frac: float = 0.05,
-                  test_frac: float = 0.05) -> PlantedGraph:
+                  seed: int = 0) -> PlantedGraph:
     """Generate the four-pattern graph and split it at random."""
     if n_entities < 5:
         raise ValueError("need at least 5 entities for distinct two-hop edges")
@@ -85,14 +82,10 @@ def planted_graph(n_entities: int = 200, sym_pairs: int = 200,
 
     order = rng.permutation(len(triples))
     shuffled = [triples[i] for i in order]
-    n_valid = int(round(valid_frac * len(shuffled)))
-    n_test = int(round(test_frac * len(shuffled)))
-    n_train = len(shuffled) - n_valid - n_test
+    n_held = int(round(HELD_OUT_FRACTION * len(shuffled)))
+    n_train = len(shuffled) - 2 * n_held
     return PlantedGraph(
         train=shuffled[:n_train],
-        valid=shuffled[n_train:n_train + n_valid],
-        test=shuffled[n_train + n_valid:],
-        n_entities=n_entities,
-        permutation=perm,
-        seed=seed,
+        valid=shuffled[n_train:n_train + n_held],
+        test=shuffled[n_train + n_held:],
     )

@@ -4,9 +4,10 @@ The default loss is the pairwise hinge
 
     sum over (pos, neg) pairs of max(0, margin + phi(pos) - phi(neg))
 
-plus l2 penalties on the embedding rows touched by the batch (scaled per
-appearance). The literal pointwise form max(0, margin + y*phi) is kept behind
-``loss_form="pointwise"`` for ablation; its positive-triple hinge never
+plus squared-norm penalties on the embedding rows touched by the batch
+(scaled per appearance): ``l1`` weights the entity rows and ``l2`` the
+relation rows. The literal pointwise form max(0, margin + y*phi) is kept
+behind ``loss_form="pointwise"`` for ablation; its positive-triple hinge never
 deactivates, which is why it is not the default.
 
 Gradient route, per triple and per coordinate quaternion (x = head, w = stored
@@ -41,6 +42,7 @@ from .model import EmbeddingTable, init_embeddings, save_checkpoint
 logger = logging.getLogger(__name__)
 
 EPS_ADAGRAD = 1e-10
+MAX_ATTEMPTS = 100
 
 CONSTRAINT_MODES = ("none", "type_constrained")
 LOSS_FORMS = ("pairwise", "pointwise")
@@ -118,21 +120,20 @@ class AdagradState:
 
 
 def sample_negatives(store: TripleStore, positives, neg_rate: int,
-                     constraint_mode: str, rng: np.random.Generator,
-                     max_attempts: int = 100) -> np.ndarray:
+                     constraint_mode: str, rng: np.random.Generator) -> np.ndarray:
     """Corrupt head or tail (fair coin) with filtered rejection sampling.
 
     Takes one triple or a (B, 3) batch and returns (B*neg_rate, 3) int64 rows,
     row i*neg_rate + j corrupting positive i. Candidates come from the full
     entity set, or from the relation's observed head/tail entities when
     type-constrained. Each round redraws all rows whose corruption is true in
-    some split; after `max_attempts` draws a row keeps its last one, logged.
+    some split; after `MAX_ATTEMPTS` draws a row keeps its last one, logged.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     out = np.repeat(positives, neg_rate, axis=0)
     column = np.where(rng.integers(2, size=out.shape[0]) == 0, 0, 2)
     pending = np.arange(out.shape[0])
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         if pending.size == 0:
             break
         if constraint_mode == "type_constrained":
@@ -210,8 +211,8 @@ def _regularizer(terms: dict, n_pos: int, l1: float, l2: float) -> float:
     return total
 
 
-def _forward(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, margin: float,
-             l1: float, l2: float, loss_form: str):
+def _forward(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
+             config: TrainConfig):
     """One pass over pos stacked on the flat negatives: the loss, the stacked
     (B + B*R, 3) triples, their `_phi_terms` and each one's d(loss)/d(phi)."""
     n_pos = pos.shape[0]
@@ -219,17 +220,16 @@ def _forward(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, margin: fl
     terms = _phi_terms(table, triples)
     phi = terms["phi"]
     hinge, w_pos, w_neg = _hinge_weights(phi[:n_pos], phi[n_pos:].reshape(neg.shape[:2]),
-                                         margin, loss_form)
-    loss = hinge + _regularizer(terms, n_pos, l1, l2)
+                                         config.margin, config.loss_form)
+    loss = hinge + _regularizer(terms, n_pos, config.l1, config.l2)
     return loss, triples, terms, np.concatenate([w_pos, w_neg.ravel()])
 
 
-def batch_loss(table: EmbeddingTable, positives, negatives, margin: float,
-               l1: float = 0.0, l2: float = 0.0,
-               loss_form: str = "pairwise") -> float:
+def batch_loss(table: EmbeddingTable, positives, negatives,
+               config: TrainConfig) -> float:
     """Hinge loss over (positive, negative) pairs plus touched-row penalties."""
     pos, neg = _as_batch(positives, negatives)
-    return _forward(table, pos, neg, margin, l1, l2, loss_form)[0]
+    return _forward(table, pos, neg, config)[0]
 
 
 def _backward(terms: dict, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,8 +260,7 @@ def _aggregate(ids: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
                     config: TrainConfig) -> tuple[float, GradientBuffer]:
-    loss, triples, terms, upstream = _forward(table, pos, neg, config.margin,
-                                              config.l1, config.l2, config.loss_form)
+    loss, triples, terms, upstream = _forward(table, pos, neg, config)
     grad_head, grad_tail, grad_rel = _backward(terms, upstream)
     if config.l1 > 0.0:
         grad_head += 2.0 * config.l1 * terms["heads"]
@@ -289,8 +288,7 @@ def grad_batch(table: EmbeddingTable, positives, negatives,
 
 
 def adagrad_step(table: EmbeddingTable, state: AdagradState,
-                 grads: GradientBuffer, lr: float,
-                 eps: float = EPS_ADAGRAD) -> None:
+                 grads: GradientBuffer, lr: float) -> None:
     """In-place sparse Adagrad update: G += g^2; theta -= lr*g/(sqrt(G)+eps)."""
     for ids, g, theta, acc in ((grads.entity_ids, grads.entity_grads,
                                 table.entities, state.entity_acc),
@@ -300,18 +298,18 @@ def adagrad_step(table: EmbeddingTable, state: AdagradState,
             continue
         a = acc[ids] + g * g  # ids are unique, so one gather and one scatter suffice
         acc[ids] = a
-        theta[ids] -= lr * g / (np.sqrt(a) + eps)
+        theta[ids] -= lr * g / (np.sqrt(a) + EPS_ADAGRAD)
 
 
 @dataclass
 class FitResult:
-    """Best-validation table plus the per-epoch training log."""
+    """Best-validation table and its validation report (None when validation
+    never ran), plus the per-epoch training log."""
 
     table: EmbeddingTable
     log: list[dict] = field(default_factory=list)
     best_epoch: int = 0
-    best_val_mrr: float | None = None
-    config: TrainConfig | None = None
+    best_report: evaluation.RankingReport | None = None
 
 
 def fit(store: TripleStore, config: TrainConfig,
@@ -326,13 +324,12 @@ def fit(store: TripleStore, config: TrainConfig,
     """
     def snapshot(current: EmbeddingTable) -> None:
         if checkpoint_path is not None:
-            save_checkpoint(current, checkpoint_path, scorer="quate_d",
-                            config_hash=config.config_hash())
+            save_checkpoint(current, checkpoint_path, config_hash=config.config_hash())
 
     if store.train.shape[0] == 0:
         raise ValueError("split 'train' is empty")
     table = init_embeddings(store.n_entities, store.n_relations, config.k, config.seed)
-    result = FitResult(table=table, config=config)
+    result = FitResult(table=table)
     if config.epochs == 0:
         snapshot(table)
         return result
@@ -368,6 +365,7 @@ def fit(store: TripleStore, config: TrainConfig,
             if report.mrr > best_mrr:
                 best_mrr = report.mrr
                 best_table = table.copy()
+                result.best_report = report
                 result.best_epoch = epoch
                 evals_since_best = 0
                 snapshot(best_table)
@@ -383,7 +381,6 @@ def fit(store: TripleStore, config: TrainConfig,
 
     if best_table is not None:
         result.table = best_table
-        result.best_val_mrr = float(best_mrr)
     else:
         result.table = table
         result.best_epoch = config.epochs

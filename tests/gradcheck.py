@@ -41,11 +41,9 @@ def finite_difference_check(table, pos, neg, config, eps=1e-6,
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up = batch_loss(table, pos, neg, config.margin, config.l1,
-                            config.l2, config.loss_form)
+            up = batch_loss(table, pos, neg, config)
             flat[idx] = orig - eps
-            down = batch_loss(table, pos, neg, config.margin, config.l1,
-                              config.l2, config.loss_form)
+            down = batch_loss(table, pos, neg, config)
             flat[idx] = orig
             fd = (up - down) / (2 * eps)
             analytic = dflat[idx]

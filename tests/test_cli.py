@@ -1,12 +1,16 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from quatkge import evaluation
 from quatkge.cli import main
 from quatkge.data import load_dataset
 from quatkge.model import init_embeddings, load_checkpoint, save_checkpoint
 from quatkge.synthetic import planted_graph
+
+from test_model import header_of, with_header
 
 
 @pytest.fixture
@@ -127,6 +131,23 @@ class TestTrainCommand:
         table, _ = load_checkpoint(out / "checkpoint.bin")
         assert table.k == int(doc[f"run.{selected}.k"])
 
+    @pytest.mark.parametrize("extra, rankings", [
+        ([], 2), (["--eval-every", "0"], 1), (["--grid", "k=4,6"], 4),
+    ], ids=["validated", "never_validated", "grid"])
+    def test_validation_ranked_once_per_evaluation(self, dataset_dir, tmp_path,
+                                                   monkeypatch, extra, rankings):
+        # 4 epochs validated every 2: fit's two evaluations give report_valid.
+        splits = []
+        rank = evaluation.link_prediction
+
+        def counted(*args, **kwargs):
+            splits.append(kwargs["split"])
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "link_prediction", counted)
+        assert self.run_train(dataset_dir, tmp_path / "run", extra=extra) == 0
+        assert splits == ["valid"] * rankings
+
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 4\nepochs = 2\nseed = 3\n"
@@ -208,8 +229,9 @@ class TestEvalCommand:
         store = load_dataset(*(dataset_dir / f"{s}.txt"
                                for s in ("train", "valid", "test")))
         table = init_embeddings(store.n_entities, store.n_relations, 4, seed=0)
+        meta = {**header_of(table), "scorer": "bogus"}
         path = tmp_path / "bogus.bin"
-        save_checkpoint(table, path, scorer="bogus")
+        path.write_bytes(with_header(table, json.dumps(meta).encode()))
         code = main(["eval", "--checkpoint", str(path), *data_flags(dataset_dir)])
         assert code == 2
         assert "scorer" in capsys.readouterr().err

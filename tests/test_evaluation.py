@@ -373,7 +373,7 @@ def tied_instance(n_entities=6, n_relations=2, k=2):
         store = make_store(pad + raw(train), [], raw(test))
         order_e = [store.entity_ids[f"e{i}"] for i in range(n_entities)]
         order_r = [store.relation_ids[f"r{i}"] for i in range(n_relations)]
-        table = EmbeddingTable(np.empty_like(ent), np.empty_like(rel), k, 0)
+        table = EmbeddingTable(np.empty_like(ent), np.empty_like(rel), 0)
         table.entities[order_e] = ent
         table.relations[order_r] = rel
         return table, store

@@ -321,7 +321,7 @@ class TestCheckpoint:
     def test_round_trip_values_and_bytes(self, tmp_path):
         table = init_embeddings(6, 3, 5, seed=24)
         path = tmp_path / "model.bin"
-        save_checkpoint(table, path, scorer="quate_d", config_hash="abc123")
+        save_checkpoint(table, path, config_hash="abc123")
         loaded, meta = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.entities, table.entities)
         np.testing.assert_array_equal(loaded.relations, table.relations)
@@ -330,8 +330,7 @@ class TestCheckpoint:
         assert meta["scorer"] == "quate_d" and meta["config_hash"] == "abc123"
 
         second = tmp_path / "again.bin"
-        save_checkpoint(loaded, second, scorer=meta["scorer"],
-                        config_hash=meta["config_hash"])
+        save_checkpoint(loaded, second, config_hash=meta["config_hash"])
         assert path.read_bytes() == second.read_bytes()
 
     def test_bad_magic(self, tmp_path):

@@ -1,13 +1,14 @@
 import logging
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatkge import train
+from quatkge import evaluation, train
 from quatkge.data import HEAD, TAIL
 from quatkge.model import init_embeddings
 from quatkge.train import (AdagradState, EPS_ADAGRAD, GradientBuffer,
@@ -150,8 +151,9 @@ class TestSampleNegatives:
         logger = logging.getLogger("quatkge.train")
         logger.addHandler(handler)
         try:
-            negs = sample_negatives(store, store.train, neg_rate, mode,
-                                    np.random.default_rng(seed), max_attempts)
+            with mock.patch.object(train, "MAX_ATTEMPTS", max_attempts):
+                negs = sample_negatives(store, store.train, neg_rate, mode,
+                                        np.random.default_rng(seed))
         finally:
             logger.removeHandler(handler)
         assert all("attempt bound" in rec.getMessage() for rec in records)
@@ -173,12 +175,14 @@ class TestBatchLoss:
         table.relations[0, 1:, :] = 0.0
         table.entities[1] = table.entities[0]          # phi(0,0,1) = 0
         table.entities[2] = table.entities[0] + 5.0    # phi(0,0,2) large
-        assert batch_loss(table, [(0, 0, 1)], [[(0, 0, 2)]], margin=1.0) == 0.0
+        cfg = TrainConfig(k=2, margin=1.0)
+        assert batch_loss(table, [(0, 0, 1)], [[(0, 0, 2)]], cfg) == 0.0
 
     def test_tie_penalized_by_margin(self):
         table = init_embeddings(3, 1, 2, seed=1)
         table.entities[2] = table.entities[1]   # phi(pos) == phi(neg)
-        loss = batch_loss(table, [(0, 0, 1)], [[(0, 0, 2)]], margin=1.0)
+        cfg = TrainConfig(k=2, margin=1.0)
+        loss = batch_loss(table, [(0, 0, 1)], [[(0, 0, 2)]], cfg)
         assert loss == pytest.approx(1.0)
 
     def test_matches_formula_oracle(self):
@@ -197,7 +201,7 @@ class TestBatchLoss:
                 expected += l1 * float(np.sum(table.entities[h] ** 2))
                 expected += l1 * float(np.sum(table.entities[t] ** 2))
                 expected += l2 * float(np.sum(table.relations[r] ** 2))
-        got = batch_loss(table, pos, neg, margin, l1, l2)
+        got = batch_loss(table, pos, neg, TrainConfig(k=3, margin=margin, l1=l1, l2=l2))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_pointwise_form(self):
@@ -210,14 +214,15 @@ class TestBatchLoss:
             expected += max(0.0, margin + reference_score(table, h, r, t))
         for h, r, t in neg.reshape(-1, 3):
             expected += max(0.0, margin - reference_score(table, h, r, t))
-        got = batch_loss(table, pos, neg, margin, loss_form="pointwise")
+        got = batch_loss(table, pos, neg,
+                         TrainConfig(k=3, margin=margin, loss_form="pointwise"))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_and_zero_iff_satisfied(self):
         rng = np.random.default_rng(4)
         table = init_embeddings(6, 2, 3, seed=5)
         pos, neg = toy_batch(rng, n=6)
-        loss = batch_loss(table, pos, neg, margin=1.0)
+        loss = batch_loss(table, pos, neg, TrainConfig(k=3, margin=1.0))
         assert loss >= 0.0
 
 
@@ -264,12 +269,12 @@ class TestGradients:
     def test_descent_direction(self):
         # a tiny step along -grad must not increase the loss at a smooth point
         table, pos, neg, cfg = smooth_instance(12, 2, l1=0.01, l2=0.01)
-        before = batch_loss(table, pos, neg, cfg.margin, cfg.l1, cfg.l2)
+        before = batch_loss(table, pos, neg, cfg)
         buffer = grad_batch(table, pos, neg, cfg)
         alpha = 1e-6
         table.entities[buffer.entity_ids] -= alpha * buffer.entity_grads
         table.relations[buffer.relation_ids] -= alpha * buffer.relation_grads
-        after = batch_loss(table, pos, neg, cfg.margin, cfg.l1, cfg.l2)
+        after = batch_loss(table, pos, neg, cfg)
         assert after <= before + 1e-15
 
 
@@ -340,7 +345,7 @@ class TestFusedStep:
             terms = train._phi_terms(table, np.concatenate([pos, neg.reshape(-1, 3)]))
             assert train._regularizer(terms, pos.shape[0], l1, l2) == penalty
             assert loss == hinge + penalty
-            assert batch_loss(table, pos, neg, cfg.margin, l1, l2, loss_form) == loss
+            assert batch_loss(table, pos, neg, cfg) == loss
             assert np.array_equal(buffer.entity_ids, ent_ids)
             assert np.array_equal(buffer.entity_grads, ent)
             assert np.array_equal(buffer.relation_ids, rel_ids)
@@ -420,10 +425,23 @@ class TestFit:
         cfg = TrainConfig(k=4, epochs=10, seed=7, eval_every=5, patience=10)
         result = fit(store, cfg)
         assert len(result.log) == 10
-        assert result.best_val_mrr is not None
+        assert result.best_report is not None
         assert result.best_epoch % 5 == 0
         evals = [rec for rec in result.log if "val_mrr" in rec]
         assert len(evals) == 2
+
+    @pytest.mark.parametrize("constraint_mode", ["none", "type_constrained"])
+    def test_best_report_ranks_the_returned_table(self, constraint_mode):
+        store = self.small_store(seed=22)
+        cfg = TrainConfig(k=4, epochs=9, seed=9, eval_every=3, patience=10,
+                          constraint_mode=constraint_mode)
+        result = fit(store, cfg)
+        constraint = constraint_mode == "type_constrained"
+        assert result.best_report == evaluation.link_prediction(
+            result.table, store, "filtered", constraint, split="valid")
+        assert result.best_report.mrr == max(rec["val_mrr"] for rec in result.log
+                                             if "val_mrr" in rec)
+        assert fit(store, replace(cfg, eval_every=0)).best_report is None
 
     def test_loss_decreases_on_average(self):
         store = self.small_store(seed=21)
