@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (CheckpointError, ParseError, ShapeMismatchError,
                      ZeroQuaternionError)
 from .model import (SCORERS, check_table_matches_store, load_checkpoint,
                     save_checkpoint)
-from .train import TrainConfig, fit
+from .train import LOSS_FORMS, TrainConfig, fit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,6 +33,11 @@ EXIT_NUMERIC = 3
 
 _DATA_ERRORS = (ParseError, CheckpointError, ShapeMismatchError, OSError)
 _NUMERIC_ERRORS = (ZeroQuaternionError, FloatingPointError, OverflowError)
+
+# `train` takes its defaults and flag types from TrainConfig, so `quatkge train`
+# and `fit(store, TrainConfig())` train the same model
+_TRAIN_DEFAULTS = {field.name: field.default for field in fields(TrainConfig)}
+_CONSTRAINT_FLAGS = {"none": "off", "type_constrained": "on"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,24 +70,29 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", parents=[], help="train embeddings")
     _add_data_flags(p_train)
     _add_common_flags(p_train)
-    p_train.add_argument("--k", type=int, default=100, help="embedding dimension")
-    p_train.add_argument("--margin", type=float, default=1.0)
-    p_train.add_argument("--lr", type=float, default=0.02)
-    p_train.add_argument("--l1", type=float, default=0.0,
-                         help="entity regularization weight")
-    p_train.add_argument("--l2", type=float, default=0.0,
-                         help="relation regularization weight")
-    p_train.add_argument("--neg", type=int, default=1, help="negatives per positive")
-    p_train.add_argument("--batch", type=int, default=10)
-    p_train.add_argument("--epochs", type=int, default=100)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--type-constraints", choices=("on", "off"), default="off")
-    p_train.add_argument("--eval-every", type=int, default=10,
-                         help="validate every N epochs (0 disables)")
-    p_train.add_argument("--patience", type=int, default=10,
-                         help="evaluations without improvement before stopping")
-    p_train.add_argument("--loss-form", choices=("pairwise", "pointwise"),
-                         default="pairwise")
+
+    def field_flag(flag, name, **kwargs):
+        """A flag that sets TrainConfig field `name`, with its default and type."""
+        default = _TRAIN_DEFAULTS[name]
+        p_train.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
+                             type=type(default), default=default, **kwargs)
+
+    field_flag("--k", "k", help="embedding dimension")
+    field_flag("--margin", "margin")
+    field_flag("--lr", "lr")
+    field_flag("--l1", "l1", help="entity regularization weight")
+    field_flag("--l2", "l2", help="relation regularization weight")
+    field_flag("--neg", "neg_rate", help="negatives per positive")
+    field_flag("--batch", "batch_size")
+    field_flag("--epochs", "epochs")
+    field_flag("--seed", "seed")
+    p_train.add_argument("--type-constraints", choices=("on", "off"),
+                         default=_CONSTRAINT_FLAGS[_TRAIN_DEFAULTS["constraint_mode"]])
+    field_flag("--eval-every", "eval_every", help="validate every N epochs (0 disables)")
+    field_flag("--patience", "patience",
+               help="evaluations without improvement before stopping")
+    p_train.add_argument("--loss-form", choices=LOSS_FORMS,
+                         default=_TRAIN_DEFAULTS["loss_form"])
     p_train.add_argument("--grid",
                          help="grid spec like 'k=50,100;l1=0,0.05'; the run with "
                               "the best validation MRR is kept")
@@ -177,19 +187,14 @@ def _emit(args, name: str, items, title: str) -> None:
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        k=args.k, margin=args.margin, lr=args.lr, l1=args.l1, l2=args.l2,
-        neg_rate=args.neg, batch_size=args.batch, epochs=args.epochs,
-        seed=args.seed,
-        constraint_mode="type_constrained" if args.type_constraints == "on" else "none",
-        eval_every=args.eval_every, patience=args.patience,
-        loss_form=args.loss_form)
+    modes = {flag: mode for mode, flag in _CONSTRAINT_FLAGS.items()}
+    values = {name: getattr(args, name) for name in _TRAIN_DEFAULTS
+              if name != "constraint_mode"}
+    return TrainConfig(constraint_mode=modes[args.type_constraints], **values)
 
 
-_GRID_FIELD_TYPES = {
-    "k": int, "margin": float, "lr": float, "l1": float, "l2": float,
-    "neg_rate": int, "batch_size": int, "epochs": int,
-}
+_GRID_FIELD_TYPES = {name: type(_TRAIN_DEFAULTS[name]) for name in (
+    "k", "margin", "lr", "l1", "l2", "neg_rate", "batch_size", "epochs")}
 
 
 def _parse_grid(spec: str) -> list[dict]:

@@ -10,7 +10,9 @@ excludes the gold entity it is added back and the event is counted.
 
 A block of queries is the only unit of ranking: one ``(B, N)`` score block
 from the candidate sweep, one ``(B, N)`` bool candidate mask built from the
-store's block lookups, and row-wise counts of better and tied candidates.
+store's block lookups, and row-wise counts of better and tied candidates. A
+block's tail scores are swept, masked and ranked before its head scores are
+swept, so only one direction's scores are held at a time.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .model import CandidateScorer, EmbeddingTable, lower_is_better, score_tripl
 HITS_AT = (1, 3, 10)
 MODES = ("raw", "filtered")
 
-# Sets the block height while ranking a split: 16 bytes per candidate per
-# triple, room for a block's float64 tail and head scores. The bool candidate
-# mask and _mean_rank's two bool comparison arrays come on top, one byte per
-# candidate per triple each. At N = 40,943 it gives 25 triples per block;
-# smaller budgets were measured slower at that size.
+# Sets the block height while ranking a split: 8 bytes per candidate per
+# triple, room for one direction's float64 scores; 51 triples per block at
+# N = 40,943. The bool candidate mask and _mean_rank's two bool comparison
+# arrays come on top, one byte per candidate per triple each. Smaller budgets
+# were measured slower at that size.
 _SCORE_BYTES = 16 * 2**20
 
 
@@ -100,8 +102,9 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
                     scorer: str = "quate_d", split: str = "test") -> RankingReport:
     """Rank head and tail queries for every triple of the split.
 
-    Triples are ranked a block at a time, tails then heads, in blocks sized
-    by _SCORE_BYTES. The ranks fill a ``(T, 2)`` array, tail then head per
+    Triples are ranked a block at a time, in blocks sized by _SCORE_BYTES to
+    hold one direction's scores: a block's tails are swept, masked and ranked,
+    then its heads. The ranks fill a ``(T, 2)`` array, tail then head per
     triple, so MR, MRR, Hits and per-relation MRR all sum the same values in
     the same order.
     """
@@ -116,14 +119,17 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
              if constraint else {TAIL: None, HEAD: None})
     ranks = np.empty((triples.shape[0], 2))
     reinserted = 0
-    block = max(1, _SCORE_BYTES // (2 * 8 * table.n_entities))
+    block = max(1, _SCORE_BYTES // (8 * table.n_entities))
     for start in range(0, triples.shape[0], block):
         rows = triples[start:start + block]
         h, r, t = rows.T
-        for column, (position, scores, gold) in enumerate((
-                (TAIL, cand.all_tails(h, r), t), (HEAD, cand.all_heads(r, t), h))):
+        # each sweep runs only when its direction is ranked, so the tail
+        # scores are freed before the head sweep allocates its own
+        for column, (position, sweep, gold) in enumerate((
+                (TAIL, lambda: cand.all_tails(h, r), t),
+                (HEAD, lambda: cand.all_heads(r, t), h))):
             mask, added = _candidate_mask(store, rows, position, mode, pools[position])
-            ranks[start:start + block, column] = _mean_rank(scores, gold, mask, lower)
+            ranks[start:start + block, column] = _mean_rank(sweep(), gold, mask, lower)
             reinserted += int(np.count_nonzero(added))
     ranks = ranks.ravel()
     recip = 1.0 / ranks

@@ -121,8 +121,8 @@ def check_inversion(trials: int, k: int, tolerance: float = DEFAULT_TOLERANCE,
                              head=heads, tail=tails, relation_unit=unit)
 
 
-def check_symmetry(trials: int, k: int, tolerance: float = SYMMETRY_TOLERANCE,
-                   rng=0, inject_imaginary: bool = False) -> PropertyVerdict:
+def check_symmetry(trials: int, k: int, rng=0,
+                   inject_imaginary: bool = False) -> PropertyVerdict:
     """Real-valued relations score (h, r, t) and (t, r, h) identically.
 
     Each normalized real coordinate is +1 or -1, so the rotation is an
@@ -138,7 +138,7 @@ def check_symmetry(trials: int, k: int, tolerance: float = SYMMETRY_TOLERANCE,
     forward = _distance(quat.hamilton(heads, unit), tails)
     backward = _distance(quat.hamilton(tails, unit), heads)
     gaps = np.abs(forward - backward)
-    return _equality_verdict("symmetry", gaps, tolerance,
+    return _equality_verdict("symmetry", gaps, SYMMETRY_TOLERANCE,
                              {"inject_imaginary": inject_imaginary},
                              head=heads, tail=tails, relation=rels)
 

@@ -96,7 +96,7 @@ class TestCriterion3:
             inv = check_inversion(trials, dim, tolerance=1e-9, rng=dim)
             comp = check_composition(trials, dim, tolerance=1e-9, rng=dim + 1)
             anti = check_antisymmetry(trials, dim, rng=dim + 2)
-            sym = check_symmetry(trials, dim, tolerance=1e-12, rng=dim + 3)
+            sym = check_symmetry(trials, dim, rng=dim + 3)
             results[dim] = (inv, comp, anti, sym)
         controls_fail = (
             not check_inversion(2000, 8, rng=50, use_conjugate=False).passed

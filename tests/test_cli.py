@@ -1,14 +1,16 @@
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from quatkge import evaluation
-from quatkge.cli import main
+from quatkge.cli import _train_config_from_args, build_parser, main
 from quatkge.data import load_dataset
 from quatkge.model import init_embeddings, load_checkpoint, save_checkpoint
 from quatkge.synthetic import planted_graph
+from quatkge.train import TrainConfig
 
 from test_model import header_of, with_header
 
@@ -147,6 +149,26 @@ class TestTrainCommand:
         monkeypatch.setattr(evaluation, "link_prediction", counted)
         assert self.run_train(dataset_dir, tmp_path / "run", extra=extra) == 0
         assert splits == ["valid"] * rankings
+
+    def test_flag_defaults_are_train_config_defaults(self):
+        args = build_parser().parse_args(["train", "--train", "a", "--valid", "b",
+                                          "--test", "c"])
+        config = _train_config_from_args(args)
+        for field in fields(TrainConfig):
+            value, default = getattr(config, field.name), field.default
+            assert (value, type(value)) == (default, type(default)), field.name
+
+    def test_flags_set_train_config_fields(self):
+        args = build_parser().parse_args([
+            "train", "--train", "a", "--valid", "b", "--test", "c",
+            "--k", "7", "--margin", "2.5", "--lr", "0.1", "--l1", "0.3",
+            "--l2", "0.4", "--neg", "3", "--batch", "8", "--epochs", "9",
+            "--seed", "11", "--type-constraints", "on", "--eval-every", "2",
+            "--patience", "4", "--loss-form", "pointwise"])
+        assert _train_config_from_args(args) == TrainConfig(
+            k=7, margin=2.5, lr=0.1, l1=0.3, l2=0.4, neg_rate=3, batch_size=8,
+            epochs=9, seed=11, constraint_mode="type_constrained", eval_every=2,
+            patience=4, loss_form="pointwise")
 
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,7 +309,19 @@ class TestScoreBlocks:
 
     @staticmethod
     def use_blocks(monkeypatch, table, triples):
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 2 * 8 * table.n_entities * triples)
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 8 * table.n_entities * triples)
+
+    @staticmethod
+    def assert_reference(report, table, store, mode, constraint):
+        """Assert `report` equals the reference report, and return that."""
+        expected = oracles.reference_report(table, store, mode, constraint)
+        assert report.mr == expected["mr"]
+        assert report.mrr == expected["mrr"]
+        assert report.hits == expected["hits"]
+        assert report.per_relation_mrr == expected["per_relation_mrr"]
+        assert report.count == expected["count"]
+        assert report.gold_reinserted == expected["gold_reinserted"]
+        return expected
 
     @staticmethod
     def pooled_instance(store, table):
@@ -332,15 +346,43 @@ class TestScoreBlocks:
             for constraint in (False, True):
                 for mode in ("raw", "filtered"):
                     report = link_prediction(table, store, mode=mode, constraint=constraint)
-                    expected = oracles.reference_report(table, store, mode, constraint)
-                    assert report.mr == expected["mr"]
-                    assert report.mrr == expected["mrr"]
-                    assert report.hits == expected["hits"]
-                    assert report.per_relation_mrr == expected["per_relation_mrr"]
-                    assert report.count == expected["count"]
-                    assert report.gold_reinserted == expected["gold_reinserted"]
+                    expected = self.assert_reference(report, table, store, mode, constraint)
                     if constraint:
                         assert expected["gold_reinserted"] >= reinserted_at_least
+
+    def test_one_direction_per_sweep(self, fixture50, monkeypatch):
+        """_SCORE_BYTES holds one direction's scores: a block's tails are swept
+        and freed before its heads are swept, in blocks as tall as it allows."""
+        store, table = fixture50
+        self.use_blocks(monkeypatch, table, 3)
+        calls, alive, returned = [], [], []
+
+        def recording(method, position):
+            def wrapper(scorer, first, second):
+                calls.append((position, len(first)))
+                alive.append(any(ref() is not None for ref in returned))
+                scores = method(scorer, first, second)
+                returned.append(weakref.ref(scores))
+                return scores
+            return wrapper
+
+        monkeypatch.setattr(CandidateScorer, "all_tails",
+                            recording(CandidateScorer.all_tails, TAIL))
+        monkeypatch.setattr(CandidateScorer, "all_heads",
+                            recording(CandidateScorer.all_heads, HEAD))
+        block = evaluation._SCORE_BYTES // (8 * table.n_entities)
+        heights = [min(block, store.test.shape[0] - start)
+                   for start in range(0, store.test.shape[0], block)]
+        assert heights[-1] < block  # the split ends in a partial block
+        for constraint in (False, True):
+            for mode in ("raw", "filtered"):
+                for record in (calls, alive, returned):
+                    record.clear()
+                report = link_prediction(table, store, mode=mode, constraint=constraint)
+                assert calls == [(position, rows) for rows in heights
+                                 for position in (TAIL, HEAD)]
+                assert not any(alive)
+                self.assert_reference(report, table, store, mode, constraint)
 
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     def test_non_finite_table_raises(self, fixture50, monkeypatch, scorer):
