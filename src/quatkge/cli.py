@@ -229,6 +229,8 @@ def _validation_report(result, store, constrained: bool) -> evaluation.RankingRe
 
 def cmd_train(args) -> int:
     store = load_dataset(args.train, args.valid, args.test)
+    if store.valid.shape[0] == 0:    # every run reports on it, so fail before training
+        raise ValueError("split 'valid' is empty")
     base = _train_config_from_args(args)
     constrained = base.constraint_mode == "type_constrained"
     out = Path(args.out) if args.out else Path(".")

@@ -82,10 +82,14 @@ def _draw_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
     if np.any(degenerate):
         gauss[:, 0, :][degenerate] = 1.0
         norms[degenerate] = 1.0
-    direction = gauss / norms[:, None, :]
-    real = (rho * np.cos(theta))[:, None, :]
-    imag = (rho * np.sin(theta))[:, None, :] * direction
-    return np.concatenate([real, imag], axis=1)
+    # Built in place, one table-sized array: the imaginary parts are the
+    # direction times rho*sin(theta), the real part rho*cos(theta).
+    out = np.empty((rows, 4, k))
+    imag = np.divide(gauss, norms[:, None, :], out=out[:, 1:, :])
+    del gauss
+    imag *= (rho * np.sin(theta))[:, None, :]
+    np.multiply(rho, np.cos(theta), out=out[:, 0, :])
+    return out
 
 
 def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> EmbeddingTable:
@@ -218,7 +222,7 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
         handle.write(header)
         for block in (table.entities, table.relations):
             for component in range(4):
-                handle.write(np.ascontiguousarray(block[:, component, :], dtype="<f8").tobytes())
+                handle.write(np.ascontiguousarray(block[:, component, :], dtype="<f8").data)
 
 
 def _header_int(meta: dict, key: str, minimum: int, path) -> int:

@@ -161,18 +161,53 @@ def _as_batch(positives, negatives) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def _phi_terms(table: EmbeddingTable, triples: np.ndarray):
+class StepBuffers:
+    """The arrays of a training step, kept from one step to the next.
+
+    Each named array is the leading, contiguous part of its own flat storage,
+    which grows to the largest request, so a shorter last batch reuses the
+    start of it. "scratch" holds one short-lived value at a time. `fit` keeps
+    one set for the whole run; `batch_loss` and `grad_batch` use a fresh set
+    per call, so nothing they return aliases another call's arrays.
+    """
+
+    def __init__(self):
+        self._storage: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._storage.get(name)
+        if flat is None or flat.size < size:
+            flat = self._storage[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def planes(self, name: str, rows: int, k: int, dtype=np.float64) -> np.ndarray:
+        """(rows, 4, k) view of component-major (4, rows, k) memory, so that
+        each component is one contiguous plane for `quat.hamilton`."""
+        return self.array(name, (4, rows, k), dtype).transpose(1, 0, 2)
+
+
+def _phi_terms(table: EmbeddingTable, triples: np.ndarray, buffers: StepBuffers | None = None):
     """Distance phi plus the intermediates the backward pass reuses.
 
-    triples: (B, 3). Returns dict with per-triple arrays keyed by name.
+    triples: (B, 3). Returns dict with per-triple arrays keyed by name; heads,
+    unit and diff live in `buffers` (a fresh set when None) until their next
+    step.
     """
-    heads = table.entities[triples[:, 0]]
+    buffers = StepBuffers() if buffers is None else buffers
+    n, k = triples.shape[0], table.k
+    # Fancy indexing gathers faster than np.take into a kept array, which
+    # bounds-checks through a temporary of its own.
+    heads = buffers.planes("heads", n, k)
+    heads[...] = table.entities[triples[:, 0]]
     tails = table.entities[triples[:, 2]]
     rels = table.relations[triples[:, 1]]
     mags = quat.magnitude(rels)
-    unit = rels / mags[:, None, :]
-    rotated = quat.hamilton(heads, unit)
-    diff = rotated - tails
+    unit = np.divide(rels, mags[:, None, :], out=buffers.planes("unit", n, k))
+    rotated = quat.hamilton(heads, unit, out=buffers.planes("scratch", n, k))
+    # diff stays (B, 4, k)-contiguous: the einsum's summation order follows
+    # the memory layout, and phi must round as it always has.
+    diff = np.subtract(rotated, tails, out=buffers.array("diff", (n, 4, k)))
     phi = np.sqrt(np.einsum("bck,bck->b", diff, diff))
     return {"heads": heads, "tails": tails, "rels": rels, "mags": mags,
             "unit": unit, "diff": diff, "phi": phi}
@@ -199,25 +234,28 @@ def _hinge_weights(phi_pos: np.ndarray, phi_neg: np.ndarray, margin: float,
 
 def _regularizer(terms: dict, n_pos: int, l1: float, l2: float) -> float:
     """Touched-row penalties over the forward pass's rows: per split, entities
-    interleaved head, tail per triple, which fixes how the sums round."""
+    interleaved head, tail per triple, which fixes how the sums round (each
+    sum runs over a C-ordered array)."""
     total = 0.0
     for split in (slice(None, n_pos), slice(n_pos, None)):
         if l1 > 0.0:
             ent = np.stack([terms["heads"][split], terms["tails"][split]], axis=1)
-            total += l1 * float(np.sum(ent * ent))
+            total += l1 * float(np.sum(np.multiply(ent, ent, order="C")))
         if l2 > 0.0:
             rel = terms["rels"][split]
-            total += l2 * float(np.sum(rel * rel))
+            total += l2 * float(np.sum(np.multiply(rel, rel, order="C")))
     return total
 
 
 def _forward(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
-             config: TrainConfig):
+             config: TrainConfig, buffers: StepBuffers):
     """One pass over pos stacked on the flat negatives: the loss, the stacked
     (B + B*R, 3) triples, their `_phi_terms` and each one's d(loss)/d(phi)."""
     n_pos = pos.shape[0]
-    triples = np.concatenate([pos, neg.reshape(-1, 3)])
-    terms = _phi_terms(table, triples)
+    neg_flat = neg.reshape(-1, 3)
+    triples = np.concatenate([pos, neg_flat], out=buffers.array(
+        "triples", (n_pos + neg_flat.shape[0], 3), np.int64))
+    terms = _phi_terms(table, triples, buffers)
     phi = terms["phi"]
     hinge, w_pos, w_neg = _hinge_weights(phi[:n_pos], phi[n_pos:].reshape(neg.shape[:2]),
                                          config.margin, config.loss_form)
@@ -229,54 +267,80 @@ def batch_loss(table: EmbeddingTable, positives, negatives,
                config: TrainConfig) -> float:
     """Hinge loss over (positive, negative) pairs plus touched-row penalties."""
     pos, neg = _as_batch(positives, negatives)
-    return _forward(table, pos, neg, config)[0]
+    return _forward(table, pos, neg, config, StepBuffers())[0]
 
 
-def _backward(terms: dict, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _backward(terms: dict, upstream: np.ndarray,
+              buffers: StepBuffers | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-triple gradients for head, tail, and the UNnormalized relation.
 
     upstream: (B,) multiplier of d(phi) for each triple. Triples with phi = 0
-    contribute nothing.
+    contribute nothing. The gradients live in `buffers` (a fresh set when
+    None) until their next step.
     """
+    buffers = StepBuffers() if buffers is None else buffers
+    n, _, k = terms["diff"].shape
     phi = terms["phi"]
     coeff = np.divide(upstream, phi, out=np.zeros_like(phi), where=phi > 0.0)
-    g_rot = coeff[:, None, None] * terms["diff"]
-    grad_tail = -g_rot
-    grad_head = quat.hamilton(g_rot, quat.conjugate(terms["unit"]))
-    grad_unit = quat.hamilton(quat.conjugate(terms["heads"]), g_rot)
+    g_rot = np.multiply(coeff[:, None, None], terms["diff"], out=buffers.planes("g_rot", n, k))
+    grad_tail = np.negative(g_rot, out=buffers.planes("grad_tail", n, k))
+    scratch = buffers.planes("scratch", n, k)
+    grad_head = quat.hamilton(g_rot, quat.conjugate(terms["unit"], out=scratch),
+                              out=buffers.planes("grad_head", n, k))
+    grad_unit = quat.hamilton(quat.conjugate(terms["heads"], out=scratch), g_rot,
+                              out=buffers.planes("grad_rel", n, k))
     radial = quat.dot(grad_unit, terms["unit"])
-    grad_rel = (grad_unit - radial[:, None, :] * terms["unit"]) / terms["mags"][:, None, :]
+    grad_rel = grad_unit    # projected in place
+    grad_rel -= np.multiply(radial[:, None, :], terms["unit"], out=scratch)
+    grad_rel /= terms["mags"][:, None, :]
     return grad_head, grad_tail, grad_rel
 
 
-def _aggregate(ids: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-id sums of grads rows; bincount adds in row order, as np.add.at does."""
+def _aggregate(ids: np.ndarray, grads: np.ndarray,
+               bins: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-id sums of grads rows; bincount adds in row order, as np.add.at does.
+
+    `bins` (int64, laid out in memory like grads) holds each value's bin; both
+    are read in memory order, which visits every bin's rows in row order.
+    """
     unique, inverse = np.unique(ids, return_inverse=True)
-    width = math.prod(grads.shape[1:])
-    bins = (inverse[:, None] * width + np.arange(width)).ravel()
-    acc = np.bincount(bins, weights=grads.ravel())
-    return unique, acc.reshape((unique.shape[0],) + grads.shape[1:])
+    cells = grads.shape[1:]
+    width = math.prod(cells)
+    if bins is None:
+        bins = np.empty_like(grads, dtype=np.int64)
+    np.add((inverse * width).reshape((-1,) + (1,) * len(cells)),
+           np.arange(width).reshape(cells), out=bins)
+    acc = np.bincount(bins.ravel(order="K"), weights=grads.ravel(order="K"))
+    return unique, acc.reshape((unique.shape[0],) + cells)
 
 
 def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
-                    config: TrainConfig) -> tuple[float, GradientBuffer]:
-    loss, triples, terms, upstream = _forward(table, pos, neg, config)
-    grad_head, grad_tail, grad_rel = _backward(terms, upstream)
+                    config: TrainConfig, buffers: StepBuffers | None = None
+                    ) -> tuple[float, GradientBuffer]:
+    buffers = StepBuffers() if buffers is None else buffers
+    loss, triples, terms, upstream = _forward(table, pos, neg, config, buffers)
+    grad_head, grad_tail, grad_rel = _backward(terms, upstream, buffers)
+    n, k = triples.shape[0], table.k
+    penalty = buffers.planes("scratch", n, k)
     if config.l1 > 0.0:
-        grad_head += 2.0 * config.l1 * terms["heads"]
-        grad_tail += 2.0 * config.l1 * terms["tails"]
+        grad_head += np.multiply(2.0 * config.l1, terms["heads"], out=penalty)
+        grad_tail += np.multiply(2.0 * config.l1, terms["tails"], out=penalty)
     if config.l2 > 0.0:
-        grad_rel += 2.0 * config.l2 * terms["rels"]
+        grad_rel += np.multiply(2.0 * config.l2, terms["rels"], out=penalty)
 
     # Positive heads, positive tails, negative heads, negative tails: the
     # per-id sums add (and round) in this order.
     n_pos = pos.shape[0]
     entity_ids = np.concatenate([triples[:n_pos, 0], triples[:n_pos, 2],
-                                 triples[n_pos:, 0], triples[n_pos:, 2]])
+                                 triples[n_pos:, 0], triples[n_pos:, 2]],
+                                out=buffers.array("entity_ids", (2 * n,), np.int64))
     entity_grads = np.concatenate([grad_head[:n_pos], grad_tail[:n_pos],
-                                   grad_head[n_pos:], grad_tail[n_pos:]])
-    ent_ids, ent_acc = _aggregate(entity_ids, entity_grads)
-    rel_ids, rel_acc = _aggregate(triples[:, 1], grad_rel)
+                                   grad_head[n_pos:], grad_tail[n_pos:]],
+                                  out=buffers.planes("entity_grads", 2 * n, k))
+    ent_ids, ent_acc = _aggregate(entity_ids, entity_grads,
+                                  buffers.planes("bins", 2 * n, k, np.int64))
+    rel_ids, rel_acc = _aggregate(triples[:, 1], grad_rel,
+                                  buffers.planes("bins", n, k, np.int64))
     return loss, GradientBuffer(ent_ids, ent_acc, rel_ids, rel_acc)
 
 
@@ -284,21 +348,37 @@ def grad_batch(table: EmbeddingTable, positives, negatives,
                config: TrainConfig) -> GradientBuffer:
     """Exact gradient of `batch_loss` for every touched embedding row."""
     pos, neg = _as_batch(positives, negatives)
-    return _loss_and_grads(table, pos, neg, config)[1]
+    return _loss_and_grads(table, pos, neg, config, StepBuffers())[1]
 
 
 def adagrad_step(table: EmbeddingTable, state: AdagradState,
-                 grads: GradientBuffer, lr: float) -> None:
-    """In-place sparse Adagrad update: G += g^2; theta -= lr*g/(sqrt(G)+eps)."""
+                 grads: GradientBuffer, lr: float, buffers: StepBuffers | None = None) -> None:
+    """In-place sparse Adagrad update: G += g^2; theta -= lr*g/(sqrt(G)+eps).
+
+    The gathered rows and the step live in `buffers` (a fresh set when None).
+    """
+    buffers = StepBuffers() if buffers is None else buffers
     for ids, g, theta, acc in ((grads.entity_ids, grads.entity_grads,
                                 table.entities, state.entity_acc),
                                (grads.relation_ids, grads.relation_grads,
                                 table.relations, state.relation_acc)):
         if ids.size == 0:
             continue
-        a = acc[ids] + g * g  # ids are unique, so one gather and one scatter suffice
-        acc[ids] = a
-        theta[ids] -= lr * g / (np.sqrt(a) + EPS_ADAGRAD)
+        # ids are unique, so one gather and one scatter per table suffice.
+        # The gathers wrap instead of checking bounds; the scatter into acc
+        # checks every id before it writes anything.
+        rows = np.take(acc, ids, axis=0, out=buffers.array("adagrad_rows", g.shape),
+                       mode="wrap")
+        step = np.multiply(g, g, out=buffers.array("adagrad_step", g.shape))
+        rows += step
+        acc[ids] = rows
+        np.sqrt(rows, out=rows)
+        rows += EPS_ADAGRAD
+        np.multiply(lr, g, out=step)
+        step /= rows
+        np.take(theta, ids, axis=0, out=rows, mode="wrap")
+        rows -= step
+        theta[ids] = rows
 
 
 @dataclass
@@ -328,6 +408,8 @@ def fit(store: TripleStore, config: TrainConfig,
 
     if store.train.shape[0] == 0:
         raise ValueError("split 'train' is empty")
+    if config.eval_every > 0 and store.valid.shape[0] == 0:
+        raise ValueError("split 'valid' is empty")
     table = init_embeddings(store.n_entities, store.n_relations, config.k, config.seed)
     result = FitResult(table=table)
     if config.epochs == 0:
@@ -343,6 +425,7 @@ def fit(store: TripleStore, config: TrainConfig,
     best_table = None
     best_mrr = -np.inf
     evals_since_best = 0
+    buffers = StepBuffers()
     start = time.perf_counter()
 
     for epoch in range(1, config.epochs + 1):
@@ -352,8 +435,9 @@ def fit(store: TripleStore, config: TrainConfig,
             batch = train[order[lo:lo + config.batch_size]]
             negatives = sample_negatives(store, batch, config.neg_rate,
                                          config.constraint_mode, rng)
-            loss, grads = _loss_and_grads(table, *_as_batch(batch, negatives), config)
-            adagrad_step(table, state, grads, config.lr)
+            loss, grads = _loss_and_grads(table, *_as_batch(batch, negatives), config,
+                                          buffers)
+            adagrad_step(table, state, grads, config.lr, buffers)
             epoch_loss += loss
 
         record = {"epoch": epoch, "loss": epoch_loss / n_train,

@@ -111,6 +111,17 @@ class TestTrainCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: split 'train' is empty\n"
 
+    @pytest.mark.parametrize("eval_every", ["1", "0"])
+    def test_empty_valid_split_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                              eval_every):
+        (dataset_dir / "valid.txt").write_text("")
+        out = tmp_path / "e"
+        code = main(["train", *data_flags(dataset_dir), "--out", str(out),
+                     "--k", "4", "--epochs", "2", "--eval-every", eval_every])
+        assert code == 1
+        assert capsys.readouterr().err == "error: split 'valid' is empty\n"
+        assert not (out / "checkpoint.bin").exists()
+
     def test_reruns_byte_identical(self, dataset_dir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         self.run_train(dataset_dir, out_a)

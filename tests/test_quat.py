@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quatkge import quat
 from quatkge.errors import ZeroQuaternionError
@@ -188,3 +191,51 @@ class TestAlgebraProperties:
         lhs = quat.conjugate(quat.hamilton(x, y))
         rhs = quat.hamilton(quat.conjugate(y), quat.conjugate(x))
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+def expression_product(x, y):
+    """The Hamilton product as one numpy expression per component."""
+    a1, b1, c1, d1 = x[..., 0, :], x[..., 1, :], x[..., 2, :], x[..., 3, :]
+    a2, b2, c2, d2 = y[..., 0, :], y[..., 1, :], y[..., 2, :], y[..., 3, :]
+    return np.stack([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                     a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2], axis=-2)
+
+
+def component_major(shape):
+    """An empty (..., 4, k) view of (4, ..., k) memory."""
+    return np.moveaxis(np.empty((4,) + shape[:-2] + shape[-1:]), 0, -2)
+
+
+class TestHamiltonOut:
+    # The operand shapes of the package's callers: training and the property
+    # checks pair (B, 4, k) rows, a ranking query pairs (4, k) rows, and a
+    # single row can meet a batch on either side; plus two leading axes.
+    SHAPES = [((5, 4, 3), (5, 4, 3)), ((4, 3), (4, 3)), ((5, 4, 3), (4, 3)),
+              ((4, 3), (5, 4, 3)), ((1, 4, 3), (5, 4, 3)), ((2, 5, 4, 3), (5, 4, 3))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shapes=st.sampled_from(SHAPES),
+           transposed=st.booleans())
+    def test_out_equals_allocating_call(self, data, shapes, transposed):
+        value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+        x, y = (data.draw(arrays(np.float64, shape, elements=value)) for shape in shapes)
+        if transposed:   # component-major operands, as the training step passes them
+            x, y = (np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -2, 0)), 0, -2)
+                    for v in (x, y))
+        expected = expression_product(x, y)
+        allocated = quat.hamilton(x, y)
+        out = component_major(expected.shape)
+        written = quat.hamilton(x, y, out=out)
+        assert written is out and allocated.flags.c_contiguous
+        for got in (allocated, written):
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_conjugate_out(self):
+        x = np.random.default_rng(15).standard_normal((6, 4, 5))
+        out = component_major(x.shape)
+        assert quat.conjugate(x, out=out) is out
+        np.testing.assert_array_equal(out, quat.conjugate(x))

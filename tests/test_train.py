@@ -352,6 +352,62 @@ class TestFusedStep:
             assert np.array_equal(buffer.relation_grads, rel)
 
 
+def reference_fit_loop(store, cfg):
+    """fit without validation, one step at a time through the public calls,
+    each of which works on fresh arrays: the table and per-epoch losses."""
+    table = init_embeddings(store.n_entities, store.n_relations, cfg.k, cfg.seed)
+    state = AdagradState.zeros(table)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    n_train = store.train.shape[0]
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_train)
+        epoch_loss = 0.0
+        for lo in range(0, n_train, cfg.batch_size):
+            batch = store.train[order[lo:lo + cfg.batch_size]]
+            negatives = sample_negatives(store, batch, cfg.neg_rate, cfg.constraint_mode, rng)
+            epoch_loss += batch_loss(table, batch, negatives, cfg)
+            adagrad_step(table, state, grad_batch(table, batch, negatives, cfg), cfg.lr)
+        losses.append(epoch_loss / n_train)
+    return table, losses
+
+
+class TestStepBuffers:
+    """fit reuses one set of step arrays; nothing may leak between steps."""
+
+    @pytest.mark.parametrize("constraint_mode", ["none", "type_constrained"])
+    @pytest.mark.parametrize("loss_form", ["pairwise", "pointwise"])
+    def test_fit_matches_fresh_array_loop(self, constraint_mode, loss_form):
+        store = random_store(np.random.default_rng(30), n_entities=15, n_train=61,
+                             n_valid=5, n_test=5)
+        cfg = TrainConfig(k=5, epochs=4, batch_size=8, neg_rate=3, l1=0.02, l2=0.03,
+                          seed=13, eval_every=0, constraint_mode=constraint_mode,
+                          loss_form=loss_form)
+        assert store.train.shape[0] % cfg.batch_size != 0   # a short last batch
+        table, losses = reference_fit_loop(store, cfg)
+        result = fit(store, cfg)
+        assert np.array_equal(result.table.entities, table.entities)
+        assert np.array_equal(result.table.relations, table.relations)
+        assert [rec["loss"] for rec in result.log] == losses
+
+    def test_results_do_not_alias_step_buffers(self):
+        table, pos, neg, cfg = smooth_instance(14, 3, l1=0.01, l2=0.02)
+        first = grad_batch(table, pos, neg, cfg)
+        kept = [arr.copy() for arr in vars(first).values()]
+        second = grad_batch(table, pos[::-1], neg[::-1], cfg)
+        for arr, copy in zip(vars(first).values(), kept):
+            assert np.array_equal(arr, copy)
+            assert not any(np.shares_memory(arr, other) for other in vars(second).values())
+        assert type(batch_loss(table, pos, neg, cfg)) is float
+
+        buffers = train.StepBuffers()
+        loss, grads = train._loss_and_grads(table, pos, neg, cfg, buffers)
+        train.adagrad_step(table, AdagradState.zeros(table), grads, cfg.lr, buffers)
+        assert type(loss) is float and buffers._storage
+        for arr in vars(grads).values():
+            assert not any(np.shares_memory(arr, buf) for buf in buffers._storage.values())
+
+
 class TestAdagrad:
     def test_first_unit_gradient_step(self):
         table = init_embeddings(2, 1, 2, seed=8)
@@ -384,6 +440,17 @@ class TestAdagrad:
         adagrad_step(table, state, grads, lr=0.02)
         second = snapshot - table.entities[0]
         assert np.all(second < first)
+
+    def test_out_of_range_id_raises_before_writing(self):
+        table = init_embeddings(3, 1, 2, seed=12)
+        before = table.copy()
+        state = AdagradState.zeros(table)
+        grads = GradientBuffer(np.array([1, 3]), np.ones((2, 4, 2)),
+                               np.empty(0, dtype=int), np.empty((0, 4, 2)))
+        with pytest.raises(IndexError):
+            adagrad_step(table, state, grads, lr=0.02)
+        np.testing.assert_array_equal(table.entities, before.entities)
+        assert not state.entity_acc.any()
 
     def test_untouched_rows_unchanged(self):
         table = init_embeddings(4, 2, 2, seed=11)
@@ -466,6 +533,15 @@ class TestFit:
             eid = store.entity_ids[name]
             np.testing.assert_array_equal(result.table.entities[eid],
                                           init.entities[eid])
+
+    def test_empty_validation_split_fails_before_training(self):
+        store = make_store([("a", "r", "b"), ("b", "r", "c")], [], [("a", "r", "c")])
+        cfg = TrainConfig(k=4, epochs=3, seed=9, eval_every=2)
+        with mock.patch.object(train, "init_embeddings",
+                               side_effect=AssertionError("training started")):
+            with pytest.raises(ValueError, match="split 'valid' is empty"):
+                fit(store, cfg)
+        assert fit(store, replace(cfg, eval_every=0)).log[-1]["epoch"] == 3
 
     def test_early_stopping_stops_before_cap(self):
         store = self.small_store(seed=22)
