@@ -7,13 +7,13 @@ from .evaluation import (ClassificationReport, RankingReport, link_prediction,
                          triple_classification)
 from .model import (CandidateScorer, EmbeddingTable, init_embeddings,
                     load_checkpoint, save_checkpoint, score_triples)
-from .train import (AdagradState, FitResult, GradientBuffer, TrainConfig,
-                    adagrad_step, batch_loss, fit, grad_batch, sample_negatives)
+from .train import (FitResult, GradientBuffer, TrainConfig, adagrad_step,
+                    batch_loss, fit, grad_batch, sample_negatives)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdagradState", "CandidateScorer", "CheckpointError", "ClassificationReport",
+    "CandidateScorer", "CheckpointError", "ClassificationReport",
     "EmbeddingTable", "FitResult", "GradientBuffer", "ParseError",
     "QuatKGEError", "RankingReport", "ShapeMismatchError", "TrainConfig",
     "TripleStore", "ZeroQuaternionError", "adagrad_step", "batch_loss",

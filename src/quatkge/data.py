@@ -65,10 +65,8 @@ class TripleStore:
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    entity_names: list[str]
-    entity_ids: dict[str, int]
-    relation_names: list[str]
-    relation_ids: dict[str, int]
+    entity_names: list[str]     # index is the entity id
+    relation_names: list[str]   # index is the relation id
     tail_keys: np.ndarray = field(repr=False)       # (h*M + r)*N + t, all splits
     head_keys: np.ndarray = field(repr=False)       # (t*M + r)*N + h, all splits
     type_head_keys: np.ndarray = field(repr=False)  # r*N + h, train
@@ -195,9 +193,7 @@ def build_store(train: list[RawTriple], valid: list[RawTriple],
         valid=valid_arr,
         test=test_arr,
         entity_names=list(entity_ids),
-        entity_ids=entity_ids,
         relation_names=list(relation_ids),
-        relation_ids=relation_ids,
         tail_keys=_sorted_unique((h * m + r) * n + t),
         head_keys=_sorted_unique((t * m + r) * n + h),
         type_head_keys=_sorted_unique(train_arr[:, 1] * n + train_arr[:, 0]),

@@ -1,7 +1,8 @@
 """Embedding tables, initialization, scoring functions, and checkpoint format.
 
-Tables hold one quaternion vector per entity and per relation as
-component-stacked float64 arrays of shape ``(rows, 4, k)``. Relations are
+A table holds one quaternion vector per entity and per relation in one
+component-stacked float64 array of shape ``(N + M, 4, k)``: the N entity rows
+first, then the M relation rows, so relation r is row N + r. Relations are
 stored UNnormalized; every scoring path normalizes relation coordinates on
 the fly so that training gradients can flow through the normalization.
 
@@ -45,34 +46,41 @@ FORMAT_VERSION = 1
 class EmbeddingTable:
     """Entity and relation quaternion embeddings of dimension k."""
 
-    entities: np.ndarray   # (N, 4, k)
-    relations: np.ndarray  # (M, 4, k)
+    params: np.ndarray  # (N + M, 4, k): entity rows, then relation rows
+    n_entities: int
     seed: int
 
     @property
-    def k(self) -> int:
-        return self.entities.shape[2]
+    def entities(self) -> np.ndarray:
+        """(N, 4, k) view of the entity rows."""
+        return self.params[:self.n_entities]
 
     @property
-    def n_entities(self) -> int:
-        return self.entities.shape[0]
+    def relations(self) -> np.ndarray:
+        """(M, 4, k) view of the relation rows."""
+        return self.params[self.n_entities:]
+
+    @property
+    def k(self) -> int:
+        return self.params.shape[2]
 
     @property
     def n_relations(self) -> int:
-        return self.relations.shape[0]
+        return self.params.shape[0] - self.n_entities
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.entities.copy(), self.relations.copy(), self.seed)
+        return EmbeddingTable(self.params.copy(), self.n_entities, self.seed)
 
 
-def _draw_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
-    """Draw `rows` quaternion vectors with the scaled polar scheme.
+def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the (rows, 4, k) array `out` with the scaled polar scheme.
 
     Per coordinate: magnitude rho uniform in [-1/sqrt(2k), 1/sqrt(2k)], angle
     theta uniform in [-pi, pi], and a uniformly random unit imaginary
     direction; the real part is rho*cos(theta) and the imaginary parts are
     rho*sin(theta) times the direction. The coordinate magnitude is |rho|.
     """
+    rows, _, k = out.shape
     bound = 1.0 / math.sqrt(2.0 * k)
     theta = rng.uniform(-math.pi, math.pi, size=(rows, k))
     rho = rng.uniform(-bound, bound, size=(rows, k))
@@ -82,14 +90,12 @@ def _draw_rows(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
     if np.any(degenerate):
         gauss[:, 0, :][degenerate] = 1.0
         norms[degenerate] = 1.0
-    # Built in place, one table-sized array: the imaginary parts are the
-    # direction times rho*sin(theta), the real part rho*cos(theta).
-    out = np.empty((rows, 4, k))
+    # Built in place: the imaginary parts are the direction times
+    # rho*sin(theta), the real part rho*cos(theta).
     imag = np.divide(gauss, norms[:, None, :], out=out[:, 1:, :])
     del gauss
     imag *= (rho * np.sin(theta))[:, None, :]
     np.multiply(rho, np.cos(theta), out=out[:, 0, :])
-    return out
 
 
 def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> EmbeddingTable:
@@ -97,9 +103,10 @@ def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> Emb
     if min(n_entities, n_relations, k) < 1:
         raise ValueError("n_entities, n_relations, and k must all be >= 1")
     rng = np.random.default_rng(seed)
-    entities = _draw_rows(rng, n_entities, k)
-    relations = _draw_rows(rng, n_relations, k)
-    return EmbeddingTable(entities, relations, seed)
+    table = EmbeddingTable(np.empty((n_entities + n_relations, 4, k)), n_entities, seed)
+    _draw_rows(rng, table.entities)
+    _draw_rows(rng, table.relations)
+    return table
 
 
 def lower_is_better(scorer: str) -> bool:
@@ -233,21 +240,19 @@ def _header_int(meta: dict, key: str, minimum: int, path) -> int:
     return value
 
 
-def _read_block(handle, rows: int, k: int) -> np.ndarray:
-    """Read four (rows, k) component blocks into one (rows, 4, k) table."""
-    block = np.empty((rows, 4, k), dtype=np.float64)
-    component = np.empty((rows, k), dtype="<f8")
+def _read_block(handle, block: np.ndarray) -> None:
+    """Read four (rows, k) component blocks into the (rows, 4, k) `block`."""
+    component = np.empty((block.shape[0], block.shape[2]), dtype="<f8")
     for c in range(4):
         handle.readinto(component)
         block[:, c, :] = component
-    return block
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
     """Read a checkpoint; any malformed content raises CheckpointError.
 
-    The table is read block by block into preallocated arrays, so peak memory
-    is the table plus one component block.
+    The table is read component by component into one preallocated array, so
+    peak memory is the table plus one component block.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(12)
@@ -275,9 +280,10 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
         if payload != expected:
             raise CheckpointError(
                 f"{path}: payload is {payload} bytes, expected {expected}")
-        entities = _read_block(handle, n, k)
-        relations = _read_block(handle, m, k)
-    return EmbeddingTable(entities, relations, seed), meta
+        table = EmbeddingTable(np.empty((n + m, 4, k)), n, seed)
+        _read_block(handle, table.entities)
+        _read_block(handle, table.relations)
+    return table, meta
 
 
 def check_table_matches_store(table: EmbeddingTable, n_entities: int,

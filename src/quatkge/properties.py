@@ -221,8 +221,7 @@ def check_rotate_reduction(trials: int, k: int, tolerance: float = DEFAULT_TOLER
     table = init_embeddings(n_entities, n_relations,
                             k, int(gen.integers(2**31)))
     if planar:
-        table.entities[:, 2:, :] = 0.0
-        table.relations[:, 2:, :] = 0.0
+        table.params[:, 2:, :] = 0.0
     triples = np.stack([gen.integers(n_entities, size=trials),
                         gen.integers(n_relations, size=trials),
                         gen.integers(n_entities, size=trials)], axis=1)

@@ -99,24 +99,21 @@ class TrainConfig:
 
 @dataclass
 class GradientBuffer:
-    """Aggregated gradients for the embedding rows a batch touched."""
+    """Aggregated gradients for the rows of ``EmbeddingTable.params`` a batch
+    touched: entity e is row e and relation r is row N + r."""
 
-    entity_ids: np.ndarray      # (U,) unique ids
-    entity_grads: np.ndarray    # (U, 4, k)
-    relation_ids: np.ndarray
-    relation_grads: np.ndarray
+    ids: np.ndarray    # (U,) ascending unique rows
+    grads: np.ndarray  # (U, 4, k)
+    n_entities: int
 
+    # The benchmark tracer counts Adagrad rows through these two.
+    @property
+    def entity_ids(self) -> np.ndarray:
+        return self.ids[:self.ids.searchsorted(self.n_entities)]
 
-@dataclass
-class AdagradState:
-    """Per-component squared-gradient accumulators."""
-
-    entity_acc: np.ndarray
-    relation_acc: np.ndarray
-
-    @classmethod
-    def zeros(cls, table: EmbeddingTable) -> "AdagradState":
-        return cls(np.zeros_like(table.entities), np.zeros_like(table.relations))
+    @property
+    def relation_ids(self) -> np.ndarray:
+        return self.ids[self.ids.searchsorted(self.n_entities):] - self.n_entities
 
 
 def sample_negatives(store: TripleStore, positives, neg_rate: int,
@@ -187,14 +184,12 @@ class StepBuffers:
         return self.array(name, (4, rows, k), dtype).transpose(1, 0, 2)
 
 
-def _phi_terms(table: EmbeddingTable, triples: np.ndarray, buffers: StepBuffers | None = None):
+def _phi_terms(table: EmbeddingTable, triples: np.ndarray, buffers: StepBuffers):
     """Distance phi plus the intermediates the backward pass reuses.
 
     triples: (B, 3). Returns dict with per-triple arrays keyed by name; heads,
-    unit and diff live in `buffers` (a fresh set when None) until their next
-    step.
+    unit and diff live in `buffers` until their next step.
     """
-    buffers = StepBuffers() if buffers is None else buffers
     n, k = triples.shape[0], table.k
     # Fancy indexing gathers faster than np.take into a kept array, which
     # bounds-checks through a temporary of its own.
@@ -271,14 +266,12 @@ def batch_loss(table: EmbeddingTable, positives, negatives,
 
 
 def _backward(terms: dict, upstream: np.ndarray,
-              buffers: StepBuffers | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              buffers: StepBuffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-triple gradients for head, tail, and the UNnormalized relation.
 
     upstream: (B,) multiplier of d(phi) for each triple. Triples with phi = 0
-    contribute nothing. The gradients live in `buffers` (a fresh set when
-    None) until their next step.
+    contribute nothing. The gradients live in `buffers` until their next step.
     """
-    buffers = StepBuffers() if buffers is None else buffers
     n, _, k = terms["diff"].shape
     phi = terms["phi"]
     coeff = np.divide(upstream, phi, out=np.zeros_like(phi), where=phi > 0.0)
@@ -315,9 +308,7 @@ def _aggregate(ids: np.ndarray, grads: np.ndarray,
 
 
 def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
-                    config: TrainConfig, buffers: StepBuffers | None = None
-                    ) -> tuple[float, GradientBuffer]:
-    buffers = StepBuffers() if buffers is None else buffers
+                    config: TrainConfig, buffers: StepBuffers) -> tuple[float, GradientBuffer]:
     loss, triples, terms, upstream = _forward(table, pos, neg, config, buffers)
     grad_head, grad_tail, grad_rel = _backward(terms, upstream, buffers)
     n, k = triples.shape[0], table.k
@@ -328,20 +319,18 @@ def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
     if config.l2 > 0.0:
         grad_rel += np.multiply(2.0 * config.l2, terms["rels"], out=penalty)
 
-    # Positive heads, positive tails, negative heads, negative tails: the
-    # per-id sums add (and round) in this order.
-    n_pos = pos.shape[0]
-    entity_ids = np.concatenate([triples[:n_pos, 0], triples[:n_pos, 2],
-                                 triples[n_pos:, 0], triples[n_pos:, 2]],
-                                out=buffers.array("entity_ids", (2 * n,), np.int64))
-    entity_grads = np.concatenate([grad_head[:n_pos], grad_tail[:n_pos],
-                                   grad_head[n_pos:], grad_tail[n_pos:]],
-                                  out=buffers.planes("entity_grads", 2 * n, k))
-    ent_ids, ent_acc = _aggregate(entity_ids, entity_grads,
-                                  buffers.planes("bins", 2 * n, k, np.int64))
-    rel_ids, rel_acc = _aggregate(triples[:, 1], grad_rel,
-                                  buffers.planes("bins", n, k, np.int64))
-    return loss, GradientBuffer(ent_ids, ent_acc, rel_ids, rel_acc)
+    # Positive heads, positive tails, negative heads, negative tails, then
+    # the relations at their table rows: the per-row sums add (and round) in
+    # this order.
+    n_pos, n_ent = pos.shape[0], table.n_entities
+    ids = np.concatenate([triples[:n_pos, 0], triples[:n_pos, 2],
+                          triples[n_pos:, 0], triples[n_pos:, 2], triples[:, 1] + n_ent],
+                         out=buffers.array("ids", (3 * n,), np.int64))
+    grads = np.concatenate([grad_head[:n_pos], grad_tail[:n_pos],
+                            grad_head[n_pos:], grad_tail[n_pos:], grad_rel],
+                           out=buffers.planes("grads", 3 * n, k))
+    rows, sums = _aggregate(ids, grads, buffers.planes("bins", 3 * n, k, np.int64))
+    return loss, GradientBuffer(rows, sums, n_ent)
 
 
 def grad_batch(table: EmbeddingTable, positives, negatives,
@@ -351,34 +340,30 @@ def grad_batch(table: EmbeddingTable, positives, negatives,
     return _loss_and_grads(table, pos, neg, config, StepBuffers())[1]
 
 
-def adagrad_step(table: EmbeddingTable, state: AdagradState,
-                 grads: GradientBuffer, lr: float, buffers: StepBuffers | None = None) -> None:
+def adagrad_step(table: EmbeddingTable, acc: np.ndarray, grads: GradientBuffer,
+                 lr: float, buffers: StepBuffers | None = None) -> None:
     """In-place sparse Adagrad update: G += g^2; theta -= lr*g/(sqrt(G)+eps).
 
-    The gathered rows and the step live in `buffers` (a fresh set when None).
+    `acc` holds G, shaped like ``table.params``. The gathered rows and the
+    step live in `buffers` (a fresh set when None).
     """
     buffers = StepBuffers() if buffers is None else buffers
-    for ids, g, theta, acc in ((grads.entity_ids, grads.entity_grads,
-                                table.entities, state.entity_acc),
-                               (grads.relation_ids, grads.relation_grads,
-                                table.relations, state.relation_acc)):
-        if ids.size == 0:
-            continue
-        # ids are unique, so one gather and one scatter per table suffice.
-        # The gathers wrap instead of checking bounds; the scatter into acc
-        # checks every id before it writes anything.
-        rows = np.take(acc, ids, axis=0, out=buffers.array("adagrad_rows", g.shape),
-                       mode="wrap")
-        step = np.multiply(g, g, out=buffers.array("adagrad_step", g.shape))
-        rows += step
-        acc[ids] = rows
-        np.sqrt(rows, out=rows)
-        rows += EPS_ADAGRAD
-        np.multiply(lr, g, out=step)
-        step /= rows
-        np.take(theta, ids, axis=0, out=rows, mode="wrap")
-        rows -= step
-        theta[ids] = rows
+    ids, g, theta = grads.ids, grads.grads, table.params
+    # ids are unique, so one gather and one scatter suffice. The gathers wrap
+    # instead of checking bounds; the scatter into acc checks every id before
+    # it writes anything.
+    rows = np.take(acc, ids, axis=0, out=buffers.array("adagrad_rows", g.shape),
+                   mode="wrap")
+    step = np.multiply(g, g, out=buffers.array("adagrad_step", g.shape))
+    rows += step
+    acc[ids] = rows
+    np.sqrt(rows, out=rows)
+    rows += EPS_ADAGRAD
+    np.multiply(lr, g, out=step)
+    step /= rows
+    np.take(theta, ids, axis=0, out=rows, mode="wrap")
+    rows -= step
+    theta[ids] = rows
 
 
 @dataclass
@@ -416,7 +401,7 @@ def fit(store: TripleStore, config: TrainConfig,
         snapshot(table)
         return result
 
-    state = AdagradState.zeros(table)
+    acc = np.zeros_like(table.params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     train = store.train
     n_train = train.shape[0]
@@ -437,7 +422,7 @@ def fit(store: TripleStore, config: TrainConfig,
                                          config.constraint_mode, rng)
             loss, grads = _loss_and_grads(table, *_as_batch(batch, negatives), config,
                                           buffers)
-            adagrad_step(table, state, grads, config.lr, buffers)
+            adagrad_step(table, acc, grads, config.lr, buffers)
             epoch_loss += loss
 
         record = {"epoch": epoch, "loss": epoch_loss / n_train,

@@ -15,12 +15,10 @@ from oracles import reference_score
 
 
 def dense_grads(table, buffer):
-    """Scatter a GradientBuffer back to dense arrays for comparison."""
-    ent = np.zeros_like(table.entities)
-    rel = np.zeros_like(table.relations)
-    ent[buffer.entity_ids] = buffer.entity_grads
-    rel[buffer.relation_ids] = buffer.relation_grads
-    return ent, rel
+    """Scatter a GradientBuffer back to dense entity and relation arrays."""
+    dense = np.zeros_like(table.params)
+    dense[buffer.ids] = buffer.grads
+    return dense[:table.n_entities], dense[table.n_entities:]
 
 
 def finite_difference_check(table, pos, neg, config, eps=1e-6,

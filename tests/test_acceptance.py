@@ -177,8 +177,8 @@ def filtered_test_report(result, store):
 class TestCriterion7:
     def test_planted_patterns_end_to_end(self, planted_store, planted_result):
         report = filtered_test_report(planted_result, planted_store)
-        sym_id = planted_store.relation_ids["sym"]
-        anti_id = planted_store.relation_ids["antisym"]
+        sym_id = planted_store.relation_names.index("sym")
+        anti_id = planted_store.relation_names.index("antisym")
         sym_energy = check_trained(planted_result.table, planted_store,
                                    sym_id, rng=0).imaginary_energy
         anti_energy = check_trained(planted_result.table, planted_store,

@@ -54,18 +54,18 @@ class TestBuildStore:
 
     def test_first_appearance_ids(self):
         store = make_store([("b", "r2", "a")], [("c", "r1", "b")])
-        assert store.entity_ids == {"b": 0, "a": 1, "c": 2}
-        assert store.relation_ids == {"r2": 0, "r1": 1}
+        assert store.entity_names == ["b", "a", "c"]
+        assert store.relation_names == ["r2", "r1"]
 
     def test_vocab_round_trip(self, tiny_store):
-        for name, eid in tiny_store.entity_ids.items():
-            assert tiny_store.entity_names[eid] == name
-        for name, rid in tiny_store.relation_ids.items():
-            assert tiny_store.relation_names[rid] == name
+        decoded = [(tiny_store.entity_names[h], tiny_store.relation_names[r],
+                    tiny_store.entity_names[t]) for h, r, t in tiny_store.train.tolist()]
+        assert decoded == [("a", "r1", "b"), ("b", "r1", "c"), ("c", "r2", "d"),
+                           ("d", "r2", "e"), ("a", "r2", "c")]
 
     def test_eval_only_entities_get_ids(self):
         store = make_store([("a", "r", "b")], [], [("a", "r", "zzz")])
-        assert "zzz" in store.entity_ids
+        assert "zzz" in store.entity_names
         assert store.n_entities == 3
 
     def test_duplicates_kept_in_split_dedup_in_filter(self):
@@ -81,12 +81,12 @@ class TestBuildStore:
 
 class TestIsTrue:
     def test_membership_across_splits(self, tiny_store):
-        ids = tiny_store.entity_ids
-        rel = tiny_store.relation_ids
-        assert tiny_store.is_true(ids["a"], rel["r1"], ids["b"])      # train
-        assert tiny_store.is_true(ids["b"], rel["r1"], ids["d"])      # valid
-        assert tiny_store.is_true(ids["a"], rel["r1"], ids["c"])      # test
-        assert not tiny_store.is_true(ids["e"], rel["r1"], ids["a"])
+        ids = {name: i for i, name in enumerate(tiny_store.entity_names)}
+        r1 = tiny_store.relation_names.index("r1")
+        assert tiny_store.is_true(ids["a"], r1, ids["b"])      # train
+        assert tiny_store.is_true(ids["b"], r1, ids["d"])      # valid
+        assert tiny_store.is_true(ids["a"], r1, ids["c"])      # test
+        assert not tiny_store.is_true(ids["e"], r1, ids["a"])
 
     def test_agrees_with_linear_scan(self):
         rng = np.random.default_rng(8)
@@ -116,13 +116,14 @@ class TestTypeCandidates:
         store = make_store([("e0", "r", "e1"), ("e2", "r", "e1")])
         heads = pool(store, 0, HEAD)
         tails = pool(store, 0, TAIL)
-        assert set(heads.tolist()) == {store.entity_ids["e0"], store.entity_ids["e2"]}
-        assert set(tails.tolist()) == {store.entity_ids["e1"]}
+        ids = store.entity_names.index
+        assert set(heads.tolist()) == {ids("e0"), ids("e2")}
+        assert set(tails.tolist()) == {ids("e1")}
 
     def test_fallback_full_set(self):
         # relation appears only in the test split
         store = make_store([("a", "seen", "b")], [], [("a", "unseen", "b")])
-        rid = store.relation_ids["unseen"]
+        rid = store.relation_names.index("unseen")
         assert pool(store, rid, HEAD).tolist() == list(range(store.n_entities))
 
     def test_nonempty_for_training_relations(self, tiny_store):
@@ -170,8 +171,8 @@ class TestIndices:
     def test_true_competitors_match_scan(self, seed):
         store = edge_store(seed)
         n, m = store.n_entities, store.n_relations
-        assert store.entity_ids["last"] == n - 1
-        assert store.relation_ids["r_last"] == m - 1
+        assert store.entity_names.index("last") == n - 1
+        assert store.relation_names.index("r_last") == m - 1
         rows = np.array([(e, r, e) for e in range(n) for r in range(m)])
         for position in (HEAD, TAIL):
             row, ids = store.true_competitors(rows, position)
@@ -233,7 +234,7 @@ def test_benchmark_statistics(name):
 
 def test_wn18rr_similar_to_candidates_are_constrained():
     store = load_benchmark("wn18rr")
-    rid = next(rid for name, rid in store.relation_ids.items() if "similar_to" in name)
+    rid = next(rid for rid, name in enumerate(store.relation_names) if "similar_to" in name)
     heads = pool(store, rid, HEAD)
     tails = pool(store, rid, TAIL)
     assert heads.size < store.n_entities

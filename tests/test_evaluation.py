@@ -120,7 +120,7 @@ class TestRankEntity:
         # stays a candidate at distance zero in both modes.
         table = line_table([0.0, 0.1, 0.5])
         store = make_store([("a", "r", "b")], [("a", "r", "c")])
-        triple = (0, 0, store.entity_ids["c"])
+        triple = (0, 0, store.entity_names.index("c"))
         raw = rank_entity(table, store, triple, TAIL, "raw")
         filtered = rank_entity(table, store, triple, TAIL, "filtered")
         assert filtered < raw
@@ -413,9 +413,9 @@ def tied_instance(n_entities=6, n_relations=2, k=2):
         # every entity and relation appears in train, so ids match table rows
         pad = [(f"e{i}", f"r{i % n_relations}", f"e{i}") for i in range(n_entities)]
         store = make_store(pad + raw(train), [], raw(test))
-        order_e = [store.entity_ids[f"e{i}"] for i in range(n_entities)]
-        order_r = [store.relation_ids[f"r{i}"] for i in range(n_relations)]
-        table = EmbeddingTable(np.empty_like(ent), np.empty_like(rel), 0)
+        order_e = [store.entity_names.index(f"e{i}") for i in range(n_entities)]
+        order_r = [store.relation_names.index(f"r{i}") for i in range(n_relations)]
+        table = EmbeddingTable(np.empty((n_entities + n_relations, 4, k)), n_entities, 0)
         table.entities[order_e] = ent
         table.relations[order_r] = rel
         return table, store

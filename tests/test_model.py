@@ -119,8 +119,7 @@ class TestScorers:
         table = init_embeddings(4, 2, 8, seed=21)
         baseline = score(table, 0, 1, 2)
         perm = rng.permutation(8)
-        table.entities = table.entities[:, :, perm]
-        table.relations = table.relations[:, :, perm]
+        table.params = table.params[:, :, perm]
         assert score(table, 0, 1, 2) == pytest.approx(baseline, rel=1e-12)
 
     def test_rotate_identity_relation(self):

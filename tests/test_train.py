@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from quatkge import evaluation, train
 from quatkge.data import HEAD, TAIL
 from quatkge.model import init_embeddings
-from quatkge.train import (AdagradState, EPS_ADAGRAD, GradientBuffer,
-                           TrainConfig, adagrad_step, batch_loss, fit,
-                           grad_batch, sample_negatives)
+from quatkge.train import (EPS_ADAGRAD, GradientBuffer, TrainConfig,
+                           adagrad_step, batch_loss, fit, grad_batch,
+                           sample_negatives)
 
 from conftest import make_store, random_store
 import oracles
@@ -235,7 +235,7 @@ class TestGradients:
         table.entities[2] = table.entities[0] + 5.0
         cfg = TrainConfig(k=2, margin=1.0, epochs=1)
         buffer = grad_batch(table, [(0, 0, 1)], [[(0, 0, 2)]], cfg)
-        assert np.all(buffer.entity_grads == 0) and np.all(buffer.relation_grads == 0)
+        assert np.all(buffer.grads == 0)
 
     @pytest.mark.parametrize("neg_rate", [1, 5])
     def test_finite_differences(self, neg_rate):
@@ -272,8 +272,7 @@ class TestGradients:
         before = batch_loss(table, pos, neg, cfg)
         buffer = grad_batch(table, pos, neg, cfg)
         alpha = 1e-6
-        table.entities[buffer.entity_ids] -= alpha * buffer.entity_grads
-        table.relations[buffer.relation_ids] -= alpha * buffer.relation_grads
+        table.params[buffer.ids] -= alpha * buffer.grads
         after = batch_loss(table, pos, neg, cfg)
         assert after <= before + 1e-15
 
@@ -289,10 +288,12 @@ def add_at_sums(ids, grads):
 def two_pass_loss_and_grads(table, pos, neg, cfg):
     """Positives and negatives through separate forward and backward passes."""
     neg_flat = neg.reshape(-1, 3)
-    t_pos, t_neg = train._phi_terms(table, pos), train._phi_terms(table, neg_flat)
+    t_pos = train._phi_terms(table, pos, train.StepBuffers())
+    t_neg = train._phi_terms(table, neg_flat, train.StepBuffers())
     hinge, w_pos, w_neg = train._hinge_weights(t_pos["phi"], t_neg["phi"].reshape(neg.shape[:2]),
                                                cfg.margin, cfg.loss_form)
-    grads = [train._backward(t_pos, w_pos), train._backward(t_neg, w_neg.ravel())]
+    grads = [train._backward(t_pos, w_pos, train.StepBuffers()),
+             train._backward(t_neg, w_neg.ravel(), train.StepBuffers())]
     penalty = 0.0
     for terms, (g_head, g_tail, g_rel), triples in zip((t_pos, t_neg), grads, (pos, neg_flat)):
         if cfg.l1 > 0.0:
@@ -339,24 +340,25 @@ class TestFusedStep:
             pos, neg = toy_batch(rng, n=6, neg_rate=4, batch=8)
             cfg = TrainConfig(k=3, margin=0.5 + seed, l1=l1, l2=l2, neg_rate=4,
                               loss_form=loss_form)
-            loss, buffer = train._loss_and_grads(table, pos, neg, cfg)
+            loss, buffer = train._loss_and_grads(table, pos, neg, cfg, train.StepBuffers())
             hinge, penalty, (ent_ids, ent), (rel_ids, rel) = two_pass_loss_and_grads(
                 table, pos, neg, cfg)
-            terms = train._phi_terms(table, np.concatenate([pos, neg.reshape(-1, 3)]))
+            terms = train._phi_terms(table, np.concatenate([pos, neg.reshape(-1, 3)]),
+                                     train.StepBuffers())
             assert train._regularizer(terms, pos.shape[0], l1, l2) == penalty
             assert loss == hinge + penalty
             assert batch_loss(table, pos, neg, cfg) == loss
             assert np.array_equal(buffer.entity_ids, ent_ids)
-            assert np.array_equal(buffer.entity_grads, ent)
             assert np.array_equal(buffer.relation_ids, rel_ids)
-            assert np.array_equal(buffer.relation_grads, rel)
+            assert np.array_equal(buffer.ids, np.concatenate([ent_ids, rel_ids + table.n_entities]))
+            assert np.array_equal(buffer.grads, np.concatenate([ent, rel]))
 
 
 def reference_fit_loop(store, cfg):
     """fit without validation, one step at a time through the public calls,
     each of which works on fresh arrays: the table and per-epoch losses."""
     table = init_embeddings(store.n_entities, store.n_relations, cfg.k, cfg.seed)
-    state = AdagradState.zeros(table)
+    acc = np.zeros_like(table.params)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     n_train = store.train.shape[0]
     losses = []
@@ -367,7 +369,7 @@ def reference_fit_loop(store, cfg):
             batch = store.train[order[lo:lo + cfg.batch_size]]
             negatives = sample_negatives(store, batch, cfg.neg_rate, cfg.constraint_mode, rng)
             epoch_loss += batch_loss(table, batch, negatives, cfg)
-            adagrad_step(table, state, grad_batch(table, batch, negatives, cfg), cfg.lr)
+            adagrad_step(table, acc, grad_batch(table, batch, negatives, cfg), cfg.lr)
         losses.append(epoch_loss / n_train)
     return table, losses
 
@@ -393,18 +395,18 @@ class TestStepBuffers:
     def test_results_do_not_alias_step_buffers(self):
         table, pos, neg, cfg = smooth_instance(14, 3, l1=0.01, l2=0.02)
         first = grad_batch(table, pos, neg, cfg)
-        kept = [arr.copy() for arr in vars(first).values()]
+        kept = [first.ids.copy(), first.grads.copy()]
         second = grad_batch(table, pos[::-1], neg[::-1], cfg)
-        for arr, copy in zip(vars(first).values(), kept):
+        for arr, copy in zip((first.ids, first.grads), kept):
             assert np.array_equal(arr, copy)
-            assert not any(np.shares_memory(arr, other) for other in vars(second).values())
+            assert not any(np.shares_memory(arr, other) for other in (second.ids, second.grads))
         assert type(batch_loss(table, pos, neg, cfg)) is float
 
         buffers = train.StepBuffers()
         loss, grads = train._loss_and_grads(table, pos, neg, cfg, buffers)
-        train.adagrad_step(table, AdagradState.zeros(table), grads, cfg.lr, buffers)
+        train.adagrad_step(table, np.zeros_like(table.params), grads, cfg.lr, buffers)
         assert type(loss) is float and buffers._storage
-        for arr in vars(grads).values():
+        for arr in (grads.ids, grads.grads):
             assert not any(np.shares_memory(arr, buf) for buf in buffers._storage.values())
 
 
@@ -412,55 +414,65 @@ class TestAdagrad:
     def test_first_unit_gradient_step(self):
         table = init_embeddings(2, 1, 2, seed=8)
         before = table.entities[0].copy()
-        state = AdagradState.zeros(table)
-        grads = GradientBuffer(np.array([0]), np.ones((1, 4, 2)),
-                               np.empty(0, dtype=int), np.empty((0, 4, 2)))
-        adagrad_step(table, state, grads, lr=0.02)
+        grads = GradientBuffer(np.array([0]), np.ones((1, 4, 2)), table.n_entities)
+        adagrad_step(table, np.zeros_like(table.params), grads, lr=0.02)
         np.testing.assert_allclose(before - table.entities[0],
                                    0.02 / (1.0 + EPS_ADAGRAD), rtol=1e-12)
 
     def test_zero_gradient_no_change(self):
         table = init_embeddings(2, 1, 2, seed=9)
         before = table.entities.copy()
-        state = AdagradState.zeros(table)
-        grads = GradientBuffer(np.array([0]), np.zeros((1, 4, 2)),
-                               np.empty(0, dtype=int), np.empty((0, 4, 2)))
-        adagrad_step(table, state, grads, lr=0.02)
+        grads = GradientBuffer(np.array([0]), np.zeros((1, 4, 2)), table.n_entities)
+        adagrad_step(table, np.zeros_like(table.params), grads, lr=0.02)
         np.testing.assert_array_equal(table.entities, before)
 
     def test_repeated_gradient_shrinks_step(self):
         table = init_embeddings(2, 1, 2, seed=10)
-        state = AdagradState.zeros(table)
-        grads = GradientBuffer(np.array([0]), np.full((1, 4, 2), 0.5),
-                               np.empty(0, dtype=int), np.empty((0, 4, 2)))
+        acc = np.zeros_like(table.params)
+        grads = GradientBuffer(np.array([0]), np.full((1, 4, 2), 0.5), table.n_entities)
         snapshot = table.entities[0].copy()
-        adagrad_step(table, state, grads, lr=0.02)
+        adagrad_step(table, acc, grads, lr=0.02)
         first = snapshot - table.entities[0]
         snapshot = table.entities[0].copy()
-        adagrad_step(table, state, grads, lr=0.02)
+        adagrad_step(table, acc, grads, lr=0.02)
         second = snapshot - table.entities[0]
         assert np.all(second < first)
 
     def test_out_of_range_id_raises_before_writing(self):
         table = init_embeddings(3, 1, 2, seed=12)
         before = table.copy()
-        state = AdagradState.zeros(table)
-        grads = GradientBuffer(np.array([1, 3]), np.ones((2, 4, 2)),
-                               np.empty(0, dtype=int), np.empty((0, 4, 2)))
+        acc = np.zeros_like(table.params)
+        grads = GradientBuffer(np.array([1, 4]), np.ones((2, 4, 2)), table.n_entities)
         with pytest.raises(IndexError):
-            adagrad_step(table, state, grads, lr=0.02)
-        np.testing.assert_array_equal(table.entities, before.entities)
-        assert not state.entity_acc.any()
+            adagrad_step(table, acc, grads, lr=0.02)
+        np.testing.assert_array_equal(table.params, before.params)
+        assert not acc.any()
 
     def test_untouched_rows_unchanged(self):
         table = init_embeddings(4, 2, 2, seed=11)
         before = table.entities.copy()
-        state = AdagradState.zeros(table)
-        grads = GradientBuffer(np.array([1]), np.ones((1, 4, 2)),
-                               np.empty(0, dtype=int), np.empty((0, 4, 2)))
-        adagrad_step(table, state, grads, lr=0.02)
+        grads = GradientBuffer(np.array([1]), np.ones((1, 4, 2)), table.n_entities)
+        adagrad_step(table, np.zeros_like(table.params), grads, lr=0.02)
         for eid in (0, 2, 3):
             np.testing.assert_array_equal(table.entities[eid], before[eid])
+
+    def test_relation_r_is_row_n_plus_r(self):
+        table = init_embeddings(4, 3, 2, seed=13)
+        before = table.copy()
+        acc = np.zeros_like(table.params)
+        e, r = 2, 1
+        grads = GradientBuffer(np.array([e, table.n_entities + r]),
+                               np.full((2, 4, 2), 0.5), table.n_entities)
+        assert grads.entity_ids.tolist() == [e] and grads.relation_ids.tolist() == [r]
+        adagrad_step(table, acc, grads, lr=0.02)
+        step = 0.02 * 0.5 / (0.5 + EPS_ADAGRAD)
+        np.testing.assert_allclose(before.entities[e] - table.entities[e], step, rtol=1e-12)
+        np.testing.assert_allclose(before.relations[r] - table.relations[r], step,
+                                   rtol=1e-12)
+        changed = np.flatnonzero((table.params != before.params).any(axis=(1, 2)))
+        assert changed.tolist() == [e, table.n_entities + r]
+        assert np.flatnonzero(acc.any(axis=(1, 2))).tolist() == [e, table.n_entities + r]
+        assert np.all(acc[[e, table.n_entities + r]] == 0.25)
 
 
 class TestFit:
@@ -530,7 +542,7 @@ class TestFit:
         result = fit(store, cfg)
         init = init_embeddings(store.n_entities, store.n_relations, 4, 9)
         for name in ("ghost", "ghost2"):
-            eid = store.entity_ids[name]
+            eid = store.entity_names.index(name)
             np.testing.assert_array_equal(result.table.entities[eid],
                                           init.entities[eid])
 
