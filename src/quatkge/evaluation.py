@@ -8,11 +8,17 @@ split (other than the query itself). Type-constrained runs restrict the
 candidate set to the relation's observed head/tail entities; when that set
 excludes the gold entity it is added back and the event is counted.
 
-A block of queries is the only unit of ranking: one ``(B, N)`` score block
-from the candidate sweep, one ``(B, N)`` bool candidate mask built from the
-store's block lookups, and row-wise counts of better and tied candidates. A
-block's tail scores are swept, masked and ranked before its head scores are
-swept, so only one direction's scores are held at a time.
+A block of triples is the only unit of ranking. Its B tail queries and B
+head queries are stacked into one (2B, C) query matrix with one (2B, N) bool
+candidate mask, and the entity table is swept once, a column tile at a time:
+each tile costs one matrix product for the ranking key (``CandidateScorer``;
+lower first) and two comparisons against each gold's key g, widened by a
+band of _TIE_BAND * (|q|^2 + max |e|^2). A candidate below g - band is better;
+one inside the band is re-scored, with the gold, by ``score_triples`` and
+compared exactly. Ranks therefore follow ``score_triples`` (the direct
+difference, for the distances), not the rounding of the key's expansion, so
+they depend only on the table: not on the BLAS kernel, the block height or
+the tile width.
 """
 
 from __future__ import annotations
@@ -28,12 +34,20 @@ from .model import CandidateScorer, EmbeddingTable, lower_is_better, score_tripl
 HITS_AT = (1, 3, 10)
 MODES = ("raw", "filtered")
 
-# Sets the block height while ranking a split: 8 bytes per candidate per
-# triple, room for one direction's float64 scores; 51 triples per block at
-# N = 40,943. The bool candidate mask and _mean_rank's two bool comparison
-# arrays come on top, one byte per candidate per triple each. Smaller budgets
-# were measured slower at that size.
-_SCORE_BYTES = 16 * 2**20
+# Triples per ranking block, and float64 key bytes per column tile: 2,048
+# columns for the 256 queries of a full block. Probed at N = 40,943, k = 100
+# on a 2-vCPU VM with one OpenBLAS 0.3.31 thread, ranking a 512-triple split
+# filtered with type constraints:
+# blocks of 32, 64, 128 and 256 triples gave 812, 924, 1,008 and 943
+# queries/s (one-direction blocks of 51 triples: 652), all at a peak RSS of
+# 235 MB except 246 MB at 256; 1 to 16 MiB tiles were equal within noise,
+# and a 100-row key product took 83 ms in 2,048-column tiles against 87-97 ms
+# in 512 or 4,096-16,384.
+_BLOCK_TRIPLES = 128
+_TILE_BYTES = 4 * 2**20
+# Half-width of the band around a gold's key, relative to |q|^2 + max |e|^2:
+# about 10^4 times the key's rounding error at k = 100.
+_TIE_BAND = 1e-9
 
 
 @dataclass
@@ -60,19 +74,72 @@ class ClassificationReport:
     seed: int
 
 
-def _mean_rank(scores: np.ndarray, gold: np.ndarray, mask: np.ndarray,
-               lower_is_better: bool) -> np.ndarray:
-    """``(B,)`` mean-tie ranks of each row's gold column among its masked
-    candidates in a ``(B, N)`` score block."""
-    gold_scores = scores[np.arange(gold.size), gold][:, None]
-    better = scores < gold_scores if lower_is_better else scores > gold_scores
-    better &= mask
-    tied = scores == gold_scores  # gold included
-    tied &= mask
-    # int32 row sums count a bool block about twice as fast as
-    # count_nonzero(axis=1), which sums through an intp cast
-    return (better.sum(axis=1, dtype=np.int32)
-            + (tied.sum(axis=1, dtype=np.int32) + 1) / 2.0)
+def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
+               mask: np.ndarray) -> np.ndarray:
+    """(2B,) mean-tie ranks of a (B, 3) block: its B tail queries, then its B
+    head queries.
+
+    `queries` is ``cand.queries(rows)``, `mask` the stacked (2B, N) candidate
+    masks in the same order; the gold columns are cleared from `mask` here.
+    """
+    count, n = mask.shape
+    gold = np.concatenate([rows[:, 2], rows[:, 0]])
+    mask[np.arange(count), gold] = False
+    scaled = cand.key_scale * queries
+    band = _TIE_BAND * (np.einsum("bc,bc->b", queries, queries) + cand.max_row_sq)
+    gold_keys = cand.pair_keys(scaled, gold)
+    low, high = (gold_keys - band)[:, None], (gold_keys + band)[:, None]
+    better = np.zeros(count, dtype=np.int64)
+    tied = np.ones(count, dtype=np.int64)  # the gold
+    gold_exact = None
+    width = max(1, _TILE_BYTES // (8 * count))
+    keys = np.empty((count, min(width, n)))
+    below = np.empty(keys.shape, dtype=bool)
+    near = np.empty(keys.shape, dtype=bool)
+    for lo in range(0, n, width):
+        hi = min(n, lo + width)
+        cols = slice(0, hi - lo)
+        tile = cand.keys(scaled, lo, hi, out=keys[:, cols])
+        candidates = mask[:, lo:hi]
+        tile_below = np.less(tile, low, out=below[:, cols])
+        tile_below &= candidates
+        tile_near = np.less_equal(tile, high, out=near[:, cols])
+        tile_near &= candidates
+        # int32 row sums count a bool block about twice as fast as
+        # count_nonzero(axis=1), which sums through an intp cast
+        tile_better = tile_below.sum(axis=1, dtype=np.int32)
+        better += tile_better
+        if np.count_nonzero(tile_near) != tile_better.sum():
+            if gold_exact is None:
+                gold_exact = np.tile(cand.exact(rows), 2)
+            tile_near ^= tile_below  # the band
+            query, entity = np.nonzero(tile_near)
+            _settle(cand, rows, query, entity + lo, gold_exact, better, tied)
+    return better + (tied + 1) / 2.0
+
+
+def _settle(cand: CandidateScorer, rows: np.ndarray, query: np.ndarray,
+            entity: np.ndarray, gold_exact: np.ndarray, better: np.ndarray,
+            tied: np.ndarray) -> None:
+    """Count in-band candidates `entity` of stacked queries `query` that
+    score better than or equal to their gold, by ``score_triples``.
+
+    A tail candidate e of triple (h, r, t) is scored as (h, r, e), a head
+    candidate as (e, r, t). Candidates are scored in chunks of about
+    _TILE_BYTES per (rows, 4, k) array, so that a table whose candidates all
+    tie still ranks in bounded memory.
+    """
+    b = rows.shape[0]
+    step = max(1, _TILE_BYTES // (32 * cand.table.k))
+    for start in range(0, query.size, step):
+        q, e = query[start:start + step], entity[start:start + step]
+        triples = rows[q % b]
+        tail = q < b
+        triples[tail, 2] = e[tail]
+        triples[~tail, 0] = e[~tail]
+        exact, gold = cand.exact(triples), gold_exact[q]
+        better += np.bincount(q[exact < gold], minlength=better.size)
+        tied += np.bincount(q[exact == gold], minlength=tied.size)
 
 
 def _candidate_mask(store: TripleStore, rows: np.ndarray, position: str, mode: str,
@@ -102,16 +169,14 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
                     scorer: str = "quate_d", split: str = "test") -> RankingReport:
     """Rank head and tail queries for every triple of the split.
 
-    Triples are ranked a block at a time, in blocks sized by _SCORE_BYTES to
-    hold one direction's scores: a block's tails are swept, masked and ranked,
-    then its heads. The ranks fill a ``(T, 2)`` array, tail then head per
-    triple, so MR, MRR, Hits and per-relation MRR all sum the same values in
-    the same order.
+    Triples are ranked _BLOCK_TRIPLES at a time, each block's tail and head
+    queries in one sweep of the entity table. The ranks fill a ``(T, 2)``
+    array, tail then head per triple, so MR, MRR, Hits and per-relation MRR
+    all sum the same values in the same order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     cand = CandidateScorer(table, scorer)
-    lower = lower_is_better(scorer)
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise ValueError(f"split {split!r} is empty")
@@ -119,18 +184,17 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
              if constraint else {TAIL: None, HEAD: None})
     ranks = np.empty((triples.shape[0], 2))
     reinserted = 0
-    block = max(1, _SCORE_BYTES // (8 * table.n_entities))
-    for start in range(0, triples.shape[0], block):
-        rows = triples[start:start + block]
-        h, r, t = rows.T
-        # each sweep runs only when its direction is ranked, so the tail
-        # scores are freed before the head sweep allocates its own
-        for column, (position, sweep, gold) in enumerate((
-                (TAIL, lambda: cand.all_tails(h, r), t),
-                (HEAD, lambda: cand.all_heads(r, t), h))):
+    for start in range(0, triples.shape[0], _BLOCK_TRIPLES):
+        rows = triples[start:start + _BLOCK_TRIPLES]
+        masks = []
+        for position in (TAIL, HEAD):
             mask, added = _candidate_mask(store, rows, position, mode, pools[position])
-            ranks[start:start + block, column] = _mean_rank(sweep(), gold, mask, lower)
+            masks.append(mask)
             reinserted += int(np.count_nonzero(added))
+        mask = np.concatenate(masks)
+        del masks
+        block_ranks = _mean_rank(cand, rows, cand.queries(rows), mask)
+        ranks[start:start + rows.shape[0]] = block_ranks.reshape(2, -1).T
     ranks = ranks.ravel()
     recip = 1.0 / ranks
     relations = np.repeat(triples[:, 1], 2)

@@ -151,26 +151,34 @@ def score_triples(table: EmbeddingTable, triples, scorer: str = "quate_d") -> np
 class CandidateScorer:
     """Scores every entity in the corrupted position of a block of queries.
 
-    The B queries of a block are rotated with one Hamilton product; candidate
-    distances then come from the expansion |x - e|^2 = |x|^2 + |e|^2 - 2<x, e>
-    with cached per-row squared norms, so a block costs one matrix product
-    against the entity table and returns a (B, N) float64 array: 8*B*N bytes,
-    which the caller bounds by its choice of B. Head queries use the adjoint
-    identity <Q_h (x) w, Q_t> = <Q_h, Q_t (x) conj(w)> for unit w. A
-    ``rotate`` query has zero j and k components, so its sweep reads a table
-    of only the (a, b) columns.
+    A query is the rotated head h (x) w_hat of a tail query, or the rotated
+    tail t (x) conj(w_hat) of a head query: for unit w_hat,
+    |e (x) w_hat - t| = |t (x) conj(w_hat) - e| for a candidate head e. Queries
+    are compared with entities through a ranking key, lower first, that
+    costs one matrix product per column range of the entity table: the key
+    |e|^2 - 2<q, e> for the distance scorers (computed as (-2q) @ E.T plus the
+    cached |e|^2) and -<q, e> for ``quate_inner``. The key orders candidates
+    as the score does up to rounding at the scale |q|^2 + max |e|^2, which is
+    why ranking settles near ties with ``score_triples``. A ``rotate`` query
+    has zero j and k components, so its products read only the (a, b)
+    columns of each table row.
+
+    ``all_tails`` and ``all_heads`` return the scores themselves: the key over
+    the whole table, then, for the distances, plus |q|^2, clipped at 0 and
+    square-rooted; a (B, N) float64 array for B queries.
     """
 
     def __init__(self, table: EmbeddingTable, scorer: str = "quate_d"):
         _check_scorer(scorer)
         self.table = table
         self.scorer = scorer
-        n = table.n_entities
-        if scorer == "rotate":
-            self._flat = np.ascontiguousarray(table.entities[:, :2, :]).reshape(n, -1)
-        else:
-            self._flat = table.entities.reshape(n, -1)
-        self._row_sq = np.einsum("nc,nc->n", self._flat, self._flat)
+        # C key columns per row: (a, b) for rotate, all four components else
+        self._width = (2 if scorer == "rotate" else 4) * table.k
+        # (N, C) view of the entity columns the products read
+        self._cols = table.entities.reshape(table.n_entities, -1)[:, :self._width]
+        self._row_sq = np.einsum("nc,nc->n", self._cols, self._cols)
+        self.max_row_sq = float(self._row_sq.max())
+        self.key_scale = -1.0 if scorer == "quate_inner" else -2.0
         if not (np.all(np.isfinite(self._row_sq))
                 and np.all(np.isfinite(table.relations))):
             raise ZeroQuaternionError("embedding table contains non-finite values")
@@ -178,31 +186,70 @@ class CandidateScorer:
     def _rows(self, block: np.ndarray, ids) -> np.ndarray:
         return _planar(block[ids]) if self.scorer == "rotate" else block[ids]
 
-    def _sweep(self, query: np.ndarray) -> np.ndarray:
-        """Scores of (..., 4, k) rotated queries against every entity: (..., N)."""
-        batch = query.shape[:-2]
-        if self.scorer == "rotate":
-            query = query[..., :2, :]
-        flat = query.reshape(-1, self._flat.shape[1])
-        scores = flat @ self._flat.T
+    def _flat(self, rotated: np.ndarray) -> np.ndarray:
+        """(..., 4, k) rotated queries as (rows, C) rows of the key's columns."""
+        return rotated.reshape(-1, 4 * self.table.k)[:, :self._width]
+
+    def queries(self, rows: np.ndarray) -> np.ndarray:
+        """(2B, C) queries of a (B, 3) block: its B tail queries, then its B
+        head queries.
+
+        Both products write into one component-major array, whose planes are
+        contiguous, before the one copy to (2B, C) rows.
+        """
+        b = rows.shape[0]
+        h, r, t = rows.T
+        unit_rel = quat.normalize(self._rows(self.table.relations, r))
+        out = np.empty((4, 2 * b, self.table.k)).transpose(1, 0, 2)
+        quat.hamilton(self._rows(self.table.entities, h), unit_rel, out=out[:b])
+        quat.hamilton(self._rows(self.table.entities, t), quat.conjugate(unit_rel),
+                      out=out[b:])
+        return self._flat(np.ascontiguousarray(out))
+
+    def keys(self, scaled: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+        """(B, hi - lo) keys of entities lo..hi-1 for queries `scaled`, which
+        are the (B, C) queries times ``key_scale``."""
+        keys = np.matmul(scaled, self._cols[lo:hi].T, out=out)
         if self.scorer != "quate_inner":
-            scores *= -2.0
-            scores += self._row_sq
+            keys += self._row_sq[lo:hi]
+        return keys
+
+    def pair_keys(self, scaled: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """(B,) key of entity ids[i] for query i of `scaled`; it may differ
+        from the same pair's ``keys`` entry in the last bits."""
+        keys = np.einsum("bc,bc->b", scaled, self._cols[ids])
+        if self.scorer != "quate_inner":
+            keys += self._row_sq[ids]
+        return keys
+
+    def exact(self, triples: np.ndarray) -> np.ndarray:
+        """``score_triples`` of (B, 3) triples, negated for ``quate_inner``
+        so that lower ranks first, as with the key."""
+        scores = score_triples(self.table, triples, self.scorer)
+        return scores if lower_is_better(self.scorer) else -scores
+
+    def _scores(self, rotated: np.ndarray) -> np.ndarray:
+        """Scores of (..., 4, k) rotated queries against every entity: (..., N)."""
+        flat = self._flat(rotated)
+        scores = self.keys(self.key_scale * flat, 0, self.table.n_entities)
+        if self.scorer == "quate_inner":
+            np.negative(scores, out=scores)
+        else:
             scores += np.einsum("bc,bc->b", flat, flat)[:, None]
             np.clip(scores, 0.0, None, out=scores)
             np.sqrt(scores, out=scores)
-        return scores.reshape(batch + (-1,))
+        return scores.reshape(rotated.shape[:-2] + (-1,))
 
     def all_tails(self, h, r) -> np.ndarray:
         """Score (h, r, t) for every t: shape (N,) for ids, (B, N) for id arrays."""
         unit_rel = quat.normalize(self._rows(self.table.relations, r))
-        return self._sweep(quat.hamilton(self._rows(self.table.entities, h), unit_rel))
+        return self._scores(quat.hamilton(self._rows(self.table.entities, h), unit_rel))
 
     def all_heads(self, r, t) -> np.ndarray:
         """Score (h, r, t) for every h: shape (N,) for ids, (B, N) for id arrays."""
         unit_rel = quat.normalize(self._rows(self.table.relations, r))
-        return self._sweep(quat.hamilton(self._rows(self.table.entities, t),
-                                         quat.conjugate(unit_rel)))
+        return self._scores(quat.hamilton(self._rows(self.table.entities, t),
+                                          quat.conjugate(unit_rel)))
 
 
 # ---------------------------------------------------------------------------

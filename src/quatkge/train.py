@@ -349,9 +349,12 @@ def adagrad_step(table: EmbeddingTable, acc: np.ndarray, grads: GradientBuffer,
     """
     buffers = StepBuffers() if buffers is None else buffers
     ids, g, theta = grads.ids, grads.grads, table.params
-    # ids are unique, so one gather and one scatter suffice. The gathers wrap
-    # instead of checking bounds; the scatter into acc checks every id before
-    # it writes anything.
+    # ids are unique and ascending, so one gather and one scatter suffice. The
+    # gathers wrap instead of checking bounds, and so would the scatters for a
+    # negative id, so that is refused here; the scatter into acc checks every
+    # id against the end before it writes anything.
+    if ids.size and ids[0] < 0:
+        raise IndexError(f"row id {int(ids[0])} is negative")
     rows = np.take(acc, ids, axis=0, out=buffers.array("adagrad_rows", g.shape),
                    mode="wrap")
     step = np.multiply(g, g, out=buffers.array("adagrad_step", g.shape))

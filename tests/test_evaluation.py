@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +11,7 @@ from quatkge.data import HEAD, TAIL
 from quatkge.errors import ZeroQuaternionError
 from quatkge.evaluation import link_prediction, triple_classification
 from quatkge.evaluation import _best_threshold, _candidate_mask, _mean_rank
-from quatkge.model import (CandidateScorer, EmbeddingTable, init_embeddings,
-                           lower_is_better)
+from quatkge.model import CandidateScorer, EmbeddingTable, init_embeddings
 
 from conftest import make_store, random_store
 import oracles
@@ -29,22 +28,39 @@ def line_table(positions, n_relations=1, k=1):
     return table
 
 
+def rank_block(table, store, rows, mode="raw", constraint=False, scorer="quate_d"):
+    """(2B,) ranks of a (B, 3) block through the ranking path: tails, then heads."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cand = CandidateScorer(table, scorer)
+    mask = np.concatenate([
+        _candidate_mask(store, rows, position, mode,
+                        store.type_pools(position) if constraint else None)[0]
+        for position in (TAIL, HEAD)])
+    return _mean_rank(cand, rows, cand.queries(rows), mask)
+
+
 def rank_row(scores, gold, mask, lower):
-    """_mean_rank on a one-row block."""
-    return _mean_rank(scores[None], np.array([gold]), mask[None], lower)[0]
+    """Rank of candidate `gold` among the masked `scores` of one tail query.
+
+    The query is (0, 0, gold + 1) on a line table that puts candidate i at
+    position scores[i] and the head, entity 0, outside the candidates: at 0
+    for ``quate_d`` and at 1 for ``quate_inner`` (higher is better), so every
+    candidate's score is its position.
+    """
+    scorer = "quate_d" if lower else "quate_inner"
+    table = line_table([0.0 if lower else 1.0, *scores])
+    rows = np.array([[0, 0, gold + 1]])
+    cand = CandidateScorer(table, scorer)
+    tail_mask = np.concatenate([[False], mask])
+    masks = np.stack([tail_mask, np.zeros_like(tail_mask)])
+    return _mean_rank(cand, rows, cand.queries(rows), masks)[0]
 
 
 def rank_entity(table, store, triple, position, mode, constraint=False,
                 scorer="quate_d"):
-    """One query's rank through a one-row block of the ranking path."""
-    rows = np.array([triple], dtype=np.int64)
-    h, r, t = rows.T
-    cand = CandidateScorer(table, scorer)
-    scores, gold = ((cand.all_tails(h, r), t) if position == TAIL
-                    else (cand.all_heads(r, t), h))
-    pools = store.type_pools(position) if constraint else None
-    mask, _ = _candidate_mask(store, rows, position, mode, pools)
-    return _mean_rank(scores, gold, mask, lower_is_better(scorer))[0]
+    """One query's rank through a one-triple block of the ranking path."""
+    ranks = rank_block(table, store, [triple], mode, constraint, scorer)
+    return ranks[0 if position == TAIL else 1]
 
 
 class TestMeanRank:
@@ -155,6 +171,25 @@ class TestLinkPrediction:
         assert report.mr == 1.0 and report.mrr == 1.0
         assert all(v == 1.0 for v in report.hits.values())
         assert report.count == 2
+
+    def test_near_tie_ranked_by_direct_difference(self):
+        # At |q|^2 = 1e16 the expansion |q|^2 + |e|^2 - 2<q, e> rounds in
+        # steps of 2, so the squared distances 1e-6 to 9e-6 of these four
+        # entities are lost in it; the direct differences separate them, and
+        # the gold of both queries of (e0, r, e3) lies farthest away.
+        table = line_table([1e8, 1e8 + 1e-3, 1e8 + 2e-3, 1e8 + 3e-3], n_relations=2)
+        names = [f"e{i}" for i in range(4)]
+        train = [(n, "pad", n) for n in names]
+        store = make_store(train, [], [("e0", "r", "e3")])
+        triple = (0, store.relation_names.index("r"), 3)
+        assert tuple(store.test[0]) == triple
+        for mode in ("raw", "filtered"):
+            report = link_prediction(table, store, mode=mode)
+            expected = oracles.reference_report(table, store, mode)
+            assert expected["mr"] == 4.0
+            assert report.mr == expected["mr"]
+            assert report.mrr == expected["mrr"]
+            assert report.hits == expected["hits"]
 
     def test_oracle_equivalence_fixture50(self, fixture50):
         store, table = fixture50
@@ -307,9 +342,14 @@ class TestNonFiniteTable:
 class TestScoreBlocks:
     """Ranking a split a few triples at a time gives the reference ranks."""
 
-    @staticmethod
-    def use_blocks(monkeypatch, table, triples):
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 8 * table.n_entities * triples)
+    # key columns per tile of a full block; fixture50's 20 entities and the
+    # pooled instance's 21 end in a partial tile
+    TILE_COLUMNS = 6
+
+    @classmethod
+    def use_blocks(cls, monkeypatch, triples, columns=TILE_COLUMNS):
+        monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", triples)
+        monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * 2 * triples * columns)
 
     @staticmethod
     def assert_reference(report, table, store, mode, constraint):
@@ -342,7 +382,8 @@ class TestScoreBlocks:
         instances = [(fixture50, 0), (self.pooled_instance(*fixture50), 2)]
         for (store, table), reinserted_at_least in instances:
             assert store.test.shape[0] % 3 != 0  # blocks of 3 end in a partial one
-            self.use_blocks(monkeypatch, table, triples)
+            assert store.n_entities % self.TILE_COLUMNS != 0
+            self.use_blocks(monkeypatch, triples)
             for constraint in (False, True):
                 for mode in ("raw", "filtered"):
                     report = link_prediction(table, store, mode=mode, constraint=constraint)
@@ -350,44 +391,60 @@ class TestScoreBlocks:
                     if constraint:
                         assert expected["gold_reinserted"] >= reinserted_at_least
 
-    def test_one_direction_per_sweep(self, fixture50, monkeypatch):
-        """_SCORE_BYTES holds one direction's scores: a block's tails are swept
-        and freed before its heads are swept, in blocks as tall as it allows."""
-        store, table = fixture50
-        self.use_blocks(monkeypatch, table, 3)
-        calls, alive, returned = [], [], []
+    def test_one_sweep_per_block(self, monkeypatch):
+        """A block's tail and head queries share one key product per column
+        tile, and no (rows, N) float array is allocated."""
+        rng = np.random.default_rng(8)
+        n, block = 20_000, 16
+        names = [f"e{i}" for i in range(n)]
+        known = [(names[h], "r", names[t]) for h, t in rng.integers(n, size=(90, 2))]
+        store = make_store([(e, "pad", e) for e in names] + known[:40],
+                           known[40:50], known[50:])
+        table = init_embeddings(n, store.n_relations, 4, seed=5)
+        # ranked at the default block height and tile width
+        whole = {(constraint, mode): link_prediction(table, store, mode, constraint)
+                 for constraint in (False, True) for mode in ("raw", "filtered")}
+        self.use_blocks(monkeypatch, block, columns=1_500)
+        calls = []
+        keys = CandidateScorer.keys
 
-        def recording(method, position):
-            def wrapper(scorer, first, second):
-                calls.append((position, len(first)))
-                alive.append(any(ref() is not None for ref in returned))
-                scores = method(scorer, first, second)
-                returned.append(weakref.ref(scores))
-                return scores
-            return wrapper
+        def recording(cand, scaled, lo, hi, out=None):
+            calls.append((scaled.shape[0], lo, hi))
+            return keys(cand, scaled, lo, hi, out)
 
-        monkeypatch.setattr(CandidateScorer, "all_tails",
-                            recording(CandidateScorer.all_tails, TAIL))
-        monkeypatch.setattr(CandidateScorer, "all_heads",
-                            recording(CandidateScorer.all_heads, HEAD))
-        block = evaluation._SCORE_BYTES // (8 * table.n_entities)
-        heights = [min(block, store.test.shape[0] - start)
-                   for start in range(0, store.test.shape[0], block)]
-        assert heights[-1] < block  # the split ends in a partial block
+        def forbidden(*args):
+            raise AssertionError("ranking swept one direction on its own")
+
+        monkeypatch.setattr(CandidateScorer, "keys", recording)
+        monkeypatch.setattr(CandidateScorer, "all_tails", forbidden)
+        monkeypatch.setattr(CandidateScorer, "all_heads", forbidden)
+        expected = []
+        for start in range(0, store.test.shape[0], block):
+            rows = 2 * min(block, store.test.shape[0] - start)
+            width = evaluation._TILE_BYTES // (8 * rows)
+            expected += [(rows, lo, min(n, lo + width)) for lo in range(0, n, width)]
+        assert expected[-1][0] < 2 * block  # the split ends in a partial block
+        assert n % 1_500 != 0  # and a full block in a partial tile
         for constraint in (False, True):
             for mode in ("raw", "filtered"):
-                for record in (calls, alive, returned):
-                    record.clear()
-                report = link_prediction(table, store, mode=mode, constraint=constraint)
-                assert calls == [(position, rows) for rows in heights
-                                 for position in (TAIL, HEAD)]
-                assert not any(alive)
-                self.assert_reference(report, table, store, mode, constraint)
+                calls.clear()
+                tracemalloc.start()
+                try:
+                    report = link_prediction(table, store, mode=mode, constraint=constraint)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert calls == expected
+                # one direction's float scores for a block would take
+                # 8 * block * N bytes alone; the stacked bool mask takes a
+                # quarter of that
+                assert peak < 8 * block * n
+                assert report == whole[constraint, mode]
 
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     def test_non_finite_table_raises(self, fixture50, monkeypatch, scorer):
         store, table = fixture50
-        self.use_blocks(monkeypatch, table, 3)
+        self.use_blocks(monkeypatch, 3)
         table.entities[int(store.test[4, 2]), 0, 0] = np.nan
         with pytest.raises(ZeroQuaternionError):
             link_prediction(table, store, mode="filtered", scorer=scorer)

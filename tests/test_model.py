@@ -211,6 +211,29 @@ class TestCandidateSweeps:
         assert sweeps.all_tails(6, 2).shape == (7,)
         assert sweeps.all_heads(2, 1).shape == (7,)
 
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    def test_block_keys_match_sweeps(self, scorer):
+        # a block's stacked queries, keyed a column tile at a time, give back
+        # the sweeps' scores bit for bit
+        table = init_embeddings(11, 3, 4, seed=24)
+        sweeps = CandidateScorer(table, scorer)
+        rows = np.array([[0, 1, 5], [3, 0, 5], [10, 2, 1]])
+        queries = sweeps.queries(rows)
+        scaled = sweeps.key_scale * queries
+        keys = np.concatenate([sweeps.keys(scaled, lo, min(11, lo + 4))
+                               for lo in range(0, 11, 4)], axis=1)
+        np.testing.assert_array_equal(keys, sweeps.keys(scaled, 0, 11))
+        if scorer == "quate_inner":
+            scores = -keys
+        else:
+            scores = np.sqrt(np.clip(keys + np.einsum("bc,bc->b", queries, queries)[:, None],
+                                     0.0, None))
+        np.testing.assert_array_equal(scores[:3], sweeps.all_tails(rows[:, 0], rows[:, 1]))
+        np.testing.assert_array_equal(scores[3:], sweeps.all_heads(rows[:, 1], rows[:, 2]))
+        gold = np.concatenate([rows[:, 2], rows[:, 0]])
+        np.testing.assert_allclose(sweeps.pair_keys(scaled, gold),
+                                   keys[np.arange(6), gold], rtol=0, atol=1e-12)
+
     def test_score_triples_matches_single(self):
         table = init_embeddings(5, 2, 3, seed=19)
         batch = [(0, 0, 1), (2, 1, 3), (4, 0, 0)]

@@ -439,14 +439,16 @@ class TestAdagrad:
         assert np.all(second < first)
 
     def test_out_of_range_id_raises_before_writing(self):
-        table = init_embeddings(3, 1, 2, seed=12)
-        before = table.copy()
-        acc = np.zeros_like(table.params)
-        grads = GradientBuffer(np.array([1, 4]), np.ones((2, 4, 2)), table.n_entities)
-        with pytest.raises(IndexError):
-            adagrad_step(table, acc, grads, lr=0.02)
-        np.testing.assert_array_equal(table.params, before.params)
-        assert not acc.any()
+        # past the last row, and before the first (which would wrap)
+        for ids in ([1, 4], [-1, 1]):
+            table = init_embeddings(3, 1, 2, seed=12)
+            before = table.copy()
+            acc = np.zeros_like(table.params)
+            grads = GradientBuffer(np.array(ids), np.ones((2, 4, 2)), table.n_entities)
+            with pytest.raises(IndexError):
+                adagrad_step(table, acc, grads, lr=0.02)
+            np.testing.assert_array_equal(table.params, before.params)
+            assert not acc.any()
 
     def test_untouched_rows_unchanged(self):
         table = init_embeddings(4, 2, 2, seed=11)
