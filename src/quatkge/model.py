@@ -25,6 +25,7 @@ embeddings.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -259,7 +260,12 @@ class CandidateScorer:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
-    """Write `table` with scorer ``quate_d``, the only scorer training implements."""
+    """Write `table` with scorer ``quate_d``, the only scorer training implements.
+
+    The bytes go to a temporary file beside `path` that then replaces it, so a
+    write that fails or is killed midway leaves an earlier file at `path` as
+    it was.
+    """
     meta = {
         "config_hash": config_hash,
         "format_version": FORMAT_VERSION,
@@ -270,13 +276,21 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
         "seed": table.seed,
     }
     header = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<II", FORMAT_VERSION, len(header)))
-        handle.write(header)
-        for block in (table.entities, table.relations):
-            for component in range(4):
-                handle.write(np.ascontiguousarray(block[:, component, :], dtype="<f8").data)
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(_MAGIC)
+            handle.write(struct.pack("<II", FORMAT_VERSION, len(header)))
+            handle.write(header)
+            for block in (table.entities, table.relations):
+                for component in range(4):
+                    handle.write(np.ascontiguousarray(block[:, component, :],
+                                                      dtype="<f8").data)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def _header_int(meta: dict, key: str, minimum: int, path) -> int:

@@ -102,6 +102,7 @@ def training_log_lines(log: list[dict]) -> str:
         fields = [("epoch", record["epoch"]), ("loss", record["loss"])]
         if "val_mrr" in record:
             fields.append(("val_mrr", record["val_mrr"]))
+        fields.append(("active_fraction", record["active_fraction"]))
         fields.append(("wall_time", record["wall_time"]))
         lines.append(" ".join(f"{key}={format_value(value)}" for key, value in fields))
     return "".join(line + "\n" for line in lines)

@@ -22,6 +22,12 @@ loss with respect to rot):
 
 The last line is the quotient-rule projection; dropping it would pin
 relation magnitudes and fail the finite-difference check.
+
+A triple whose hinge is inactive has g = 0, so without penalties the backward
+pass, the per-row sums and the Adagrad update run only on the triples with a
+nonzero d(loss)/d(phi); the rows they touch are the only ones a step lists.
+As margins are met, that share (``active_fraction`` in each `fit` log record)
+falls, and so does the cost of a step.
 """
 
 from __future__ import annotations
@@ -99,8 +105,9 @@ class TrainConfig:
 
 @dataclass
 class GradientBuffer:
-    """Aggregated gradients for the rows of ``EmbeddingTable.params`` a batch
-    touched: entity e is row e and relation r is row N + r."""
+    """Aggregated gradients for the rows of ``EmbeddingTable.params`` whose
+    gradient can be nonzero: entity e is row e and relation r is row N + r.
+    A row that is not listed has zero gradient."""
 
     ids: np.ndarray    # (U,) ascending unique rows
     grads: np.ndarray  # (U, 4, k)
@@ -307,11 +314,48 @@ def _aggregate(ids: np.ndarray, grads: np.ndarray,
     return unique, acc.reshape((unique.shape[0],) + cells)
 
 
+def _compact(terms: dict, keep: np.ndarray, buffers: StepBuffers) -> dict:
+    """The backward pass's inputs for the triples `keep` (ascending) alone.
+
+    heads, unit and diff are gathered through the scratch buffer into the
+    front of their own step buffers, in the forward's layouts, so compacting
+    allocates no copy of them.
+    """
+    m, k = keep.size, terms["diff"].shape[2]
+    kept = {"phi": terms["phi"][keep], "mags": terms["mags"][keep]}
+    for name in ("heads", "unit"):
+        # mode="wrap" skips np.take's bounds check, which writes through a
+        # temporary; the planes' (4, n, k) memory is C-contiguous.
+        gathered = np.take(terms[name].transpose(1, 0, 2), keep, axis=1, mode="wrap",
+                           out=buffers.array("scratch", (4, m, k)))
+        front = buffers.array(name, (4, m, k))
+        front[...] = gathered
+        kept[name] = front.transpose(1, 0, 2)
+    gathered = np.take(terms["diff"], keep, axis=0, mode="wrap",
+                       out=buffers.array("scratch", (m, 4, k)))
+    kept["diff"] = buffers.array("diff", (m, 4, k))
+    kept["diff"][...] = gathered
+    return kept
+
+
 def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
-                    config: TrainConfig, buffers: StepBuffers) -> tuple[float, GradientBuffer]:
+                    config: TrainConfig,
+                    buffers: StepBuffers) -> tuple[float, GradientBuffer, int]:
+    """The loss, the gradient of every row it can move, and the number of
+    triples with a nonzero d(loss)/d(phi)."""
     loss, triples, terms, upstream = _forward(table, pos, neg, config, buffers)
+    n_pos, n_ent, k = pos.shape[0], table.n_entities, table.k
+    keep = np.flatnonzero(upstream)
+    # Without penalties, a triple with zero upstream has only +-0 gradient
+    # entries. Per-row sums start at +0, which adding +-0 never changes, and
+    # Adagrad leaves a row with a +0 gradient as it was; so dropping those
+    # triples changes no bit of the update.
+    if config.l1 == 0.0 and config.l2 == 0.0 and keep.size < triples.shape[0]:
+        n_pos = int(keep.searchsorted(n_pos))
+        triples, upstream = triples[keep], upstream[keep]
+        terms = _compact(terms, keep, buffers)
     grad_head, grad_tail, grad_rel = _backward(terms, upstream, buffers)
-    n, k = triples.shape[0], table.k
+    n = triples.shape[0]
     penalty = buffers.planes("scratch", n, k)
     if config.l1 > 0.0:
         grad_head += np.multiply(2.0 * config.l1, terms["heads"], out=penalty)
@@ -322,7 +366,6 @@ def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
     # Positive heads, positive tails, negative heads, negative tails, then
     # the relations at their table rows: the per-row sums add (and round) in
     # this order.
-    n_pos, n_ent = pos.shape[0], table.n_entities
     ids = np.concatenate([triples[:n_pos, 0], triples[:n_pos, 2],
                           triples[n_pos:, 0], triples[n_pos:, 2], triples[:, 1] + n_ent],
                          out=buffers.array("ids", (3 * n,), np.int64))
@@ -330,12 +373,14 @@ def _loss_and_grads(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
                             grad_head[n_pos:], grad_tail[n_pos:], grad_rel],
                            out=buffers.planes("grads", 3 * n, k))
     rows, sums = _aggregate(ids, grads, buffers.planes("bins", 3 * n, k, np.int64))
-    return loss, GradientBuffer(rows, sums, n_ent)
+    return loss, GradientBuffer(rows, sums, n_ent), keep.size
 
 
 def grad_batch(table: EmbeddingTable, positives, negatives,
                config: TrainConfig) -> GradientBuffer:
-    """Exact gradient of `batch_loss` for every touched embedding row."""
+    """Exact gradient of `batch_loss`. It lists the rows of the triples with
+    a nonzero hinge gradient (with a penalty, of every triple); a row it does
+    not list has zero gradient."""
     pos, neg = _as_batch(positives, negatives)
     return _loss_and_grads(table, pos, neg, config, StepBuffers())[1]
 
@@ -372,7 +417,10 @@ def adagrad_step(table: EmbeddingTable, acc: np.ndarray, grads: GradientBuffer,
 @dataclass
 class FitResult:
     """Best-validation table and its validation report (None when validation
-    never ran), plus the per-epoch training log."""
+    never ran), plus the per-epoch training log: each record holds the epoch,
+    its mean loss per positive, ``active_fraction`` (the share of the epoch's
+    scored triples with a nonzero hinge gradient), ``val_mrr`` when it
+    validated, and ``wall_time`` since training began."""
 
     table: EmbeddingTable
     log: list[dict] = field(default_factory=list)
@@ -419,16 +467,19 @@ def fit(store: TripleStore, config: TrainConfig,
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_train)
         epoch_loss = 0.0
+        epoch_active = 0
         for lo in range(0, n_train, config.batch_size):
             batch = train[order[lo:lo + config.batch_size]]
             negatives = sample_negatives(store, batch, config.neg_rate,
                                          config.constraint_mode, rng)
-            loss, grads = _loss_and_grads(table, *_as_batch(batch, negatives), config,
-                                          buffers)
+            loss, grads, active = _loss_and_grads(table, *_as_batch(batch, negatives),
+                                                  config, buffers)
             adagrad_step(table, acc, grads, config.lr, buffers)
             epoch_loss += loss
+            epoch_active += active
 
         record = {"epoch": epoch, "loss": epoch_loss / n_train,
+                  "active_fraction": epoch_active / (n_train * (1 + config.neg_rate)),
                   "wall_time": time.perf_counter() - start}
         if config.eval_every > 0 and epoch % config.eval_every == 0:
             report = evaluation.link_prediction(

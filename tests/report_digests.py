@@ -3,10 +3,12 @@
     PYTHONPATH=src python3 tests/report_digests.py
 
 rewrites ``tests/report_digests.json``, which ``test_report_digests.py``
-checks. The pipeline generates the planted 200-entity graph (seed 11), trains
-briefly, ranks the test split raw and filtered with type constraints off and
-on for every scorer, and classifies the test triples. Each keyvalue report
-and the checkpoint is recorded by its sha256.
+checks. The pipeline generates the planted 200-entity graph (seed 11), prints
+its stats, trains briefly, ranks the test split raw and filtered with type
+constraints off and on for every scorer, classifies the test triples, and
+inspects and property-checks the checkpoint. Two more short trains cover the
+pointwise loss and, type-constrained, the l1/l2 penalties. Each keyvalue
+report and each checkpoint is recorded by its sha256.
 
 Training rounding follows numpy's SIMD dispatch and ranking follows the BLAS
 kernel, so the digests are stored with the platform that made them: the
@@ -64,15 +66,23 @@ def run_pipeline(work: Path) -> dict[str, str]:
     data = [arg for flag, path in zip(("--train", "--valid", "--test"), splits)
             for arg in (flag, str(path))]
     run = work / "run"
+    _run("stats", *data, "--out", str(run / "stats"))
     _run("train", *data, *TRAIN_FLAGS, "--out", str(run))
+    _run("train", *data, *TRAIN_FLAGS, "--epochs", "4", "--loss-form", "pointwise",
+         "--out", str(run / "train_pointwise"))
+    _run("train", *data, *TRAIN_FLAGS, "--epochs", "4", "--type-constraints", "on",
+         "--l1", "0.05", "--l2", "0.05", "--out", str(run / "train_penalized"))
     checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
+    _run("inspect", *checkpoint, "--out", str(run / "inspect"))
+    _run("properties", "--trials", "50", "--dim", "16", "--seed", "0", "--pairs", "50",
+         *checkpoint, *data, "--out", str(run / "properties"))
     for scorer in SCORERS:
         for constraint in ("off", "on"):
             _run("eval", *checkpoint, *data, "--scorer", scorer,
                  "--type-constraints", constraint,
                  "--out", str(run / f"eval_{scorer}_{constraint}"))
     _run("classify", *checkpoint, *data, "--seed", "0", "--out", str(run / "classify"))
-    outputs = sorted(run.rglob("*.keyvalue")) + [run / "checkpoint.bin"]
+    outputs = sorted(run.rglob("*.keyvalue")) + sorted(run.rglob("checkpoint.bin"))
     return {path.relative_to(run).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in outputs}
 

@@ -89,6 +89,10 @@ class TestTrainCommand:
         assert meta["config_hash"]
         log = (out / "train_log.txt").read_text().splitlines()
         assert len(log) == 4 and log[0].startswith("epoch=1 loss=")
+        keys = [[field.split("=")[0] for field in line.split()] for line in log]
+        assert keys[0] == ["epoch", "loss", "active_fraction", "wall_time"]
+        assert keys[1] == ["epoch", "loss", "val_mrr", "active_fraction", "wall_time"]
+        assert all(0.0 <= float(line.split()[-2].split("=")[1]) <= 1.0 for line in log)
         report = read_keyvalue(out / "report_valid.keyvalue")
         assert report["seed"] == "5"
         assert "mrr" in report

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,6 +355,43 @@ class TestCheckpoint:
         second = tmp_path / "again.bin"
         save_checkpoint(loaded, second, config_hash=meta["config_hash"])
         assert path.read_bytes() == second.read_bytes()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "best.bin"
+        save_checkpoint(init_embeddings(6, 3, 5, seed=1), path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """A file whose fifth write fails, as on a full disk."""
+
+            def __init__(self, handle):
+                self.handle, self.writes = handle, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    raise OSError(28, "No space left on device")
+                return self.handle.write(data)
+
+        opened = []
+        real_open = open
+
+        def failing_open(*args, **kwargs):
+            opened.append(FailingFile(real_open(*args, **kwargs)))
+            return opened[-1]
+
+        with mock.patch("quatkge.model.open", failing_open, create=True):
+            with pytest.raises(OSError, match="No space left"):
+                save_checkpoint(init_embeddings(6, 3, 5, seed=2), path)
+        assert [f.writes for f in opened] == [5]
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -235,7 +235,7 @@ class TestGradients:
         table.entities[2] = table.entities[0] + 5.0
         cfg = TrainConfig(k=2, margin=1.0, epochs=1)
         buffer = grad_batch(table, [(0, 0, 1)], [[(0, 0, 2)]], cfg)
-        assert np.all(buffer.grads == 0)
+        assert buffer.ids.size == 0 and buffer.grads.shape == (0, 4, 2)
 
     @pytest.mark.parametrize("neg_rate", [1, 5])
     def test_finite_differences(self, neg_rate):
@@ -286,7 +286,9 @@ def add_at_sums(ids, grads):
 
 
 def two_pass_loss_and_grads(table, pos, neg, cfg):
-    """Positives and negatives through separate forward and backward passes."""
+    """Positives and negatives through separate forward and backward passes,
+    every touched row summed by np.add.at. Also returns each triple's
+    d(loss)/d(phi), positives first."""
     neg_flat = neg.reshape(-1, 3)
     t_pos = train._phi_terms(table, pos, train.StepBuffers())
     t_neg = train._phi_terms(table, neg_flat, train.StepBuffers())
@@ -310,7 +312,13 @@ def two_pass_loss_and_grads(table, pos, neg, cfg):
                       np.concatenate([gh_pos, gt_pos, gh_neg, gt_neg]))
     rel = add_at_sums(np.concatenate([pos[:, 1], neg_flat[:, 1]]),
                       np.concatenate([gr_pos, gr_neg]))
-    return hinge, penalty, ent, rel
+    return hinge, penalty, ent, rel, np.concatenate([w_pos, w_neg.ravel()])
+
+
+def live_rows(pos, neg, upstream, n_entities):
+    """The table rows of the triples whose d(loss)/d(phi) is nonzero."""
+    live = np.concatenate([pos, neg.reshape(-1, 3)])[upstream != 0]
+    return np.unique(np.concatenate([live[:, 0], live[:, 2], live[:, 1] + n_entities]))
 
 
 class TestFusedStep:
@@ -332,26 +340,92 @@ class TestFusedStep:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("loss_form", ["pairwise", "pointwise"])
-    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (0.03, 0.05)])
+    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (0.03, 0.0), (0.0, 0.05), (0.03, 0.05)])
     def test_one_pass_equals_two_passes(self, loss_form, l1, l2):
-        for seed in range(8):
+        active = inactive = 0
+        for seed in range(40):
             rng = np.random.default_rng(40 + seed)
             table = init_embeddings(6, 2, 3, seed=seed)
             pos, neg = toy_batch(rng, n=6, neg_rate=4, batch=8)
-            cfg = TrainConfig(k=3, margin=0.5 + seed, l1=l1, l2=l2, neg_rate=4,
+            cfg = TrainConfig(k=3, margin=0.1 + 0.3 * (seed % 8), l1=l1, l2=l2, neg_rate=4,
                               loss_form=loss_form)
-            loss, buffer = train._loss_and_grads(table, pos, neg, cfg, train.StepBuffers())
-            hinge, penalty, (ent_ids, ent), (rel_ids, rel) = two_pass_loss_and_grads(
-                table, pos, neg, cfg)
+            loss, buffer, n_active = train._loss_and_grads(table, pos, neg, cfg,
+                                                           train.StepBuffers())
+            hinge, penalty, (ent_ids, ent), (rel_ids, rel), upstream = (
+                two_pass_loss_and_grads(table, pos, neg, cfg))
             terms = train._phi_terms(table, np.concatenate([pos, neg.reshape(-1, 3)]),
                                      train.StepBuffers())
             assert train._regularizer(terms, pos.shape[0], l1, l2) == penalty
             assert loss == hinge + penalty
             assert batch_loss(table, pos, neg, cfg) == loss
-            assert np.array_equal(buffer.entity_ids, ent_ids)
-            assert np.array_equal(buffer.relation_ids, rel_ids)
-            assert np.array_equal(buffer.ids, np.concatenate([ent_ids, rel_ids + table.n_entities]))
-            assert np.array_equal(buffer.grads, np.concatenate([ent, rel]))
+            assert n_active == np.count_nonzero(upstream)
+            active += n_active
+            inactive += upstream.size - n_active
+
+            # Every row the reference sums; without penalties, less the rows
+            # that only zero-upstream triples touch.
+            reference = GradientBuffer(np.concatenate([ent_ids, rel_ids + table.n_entities]),
+                                       np.concatenate([ent, rel]), table.n_entities)
+            want_ids = (reference.ids if l1 or l2
+                        else live_rows(pos, neg, upstream, table.n_entities))
+            assert np.array_equal(buffer.ids, want_ids)
+            assert np.isin(buffer.ids, reference.ids).all()
+            for got, want in zip(dense_grads(table, buffer), dense_grads(table, reference)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert active and inactive   # the batches mix active and inactive triples
+
+    @pytest.mark.parametrize("neg_rate", [1, 3])
+    def test_all_inactive_batch_moves_nothing(self, neg_rate):
+        # Every positive fits exactly and every negative is far away.
+        table = init_embeddings(6, 2, 2, seed=15)
+        table.relations[:, 0, :] = 1.0
+        table.relations[:, 1:, :] = 0.0
+        table.entities[1] = table.entities[0]
+        table.entities[3] = table.entities[2]
+        table.entities[4:] = table.entities[0] + 5.0
+        pos = np.array([(0, 0, 1), (2, 1, 3)])
+        neg = np.array([[(0, 0, 4 + j % 2) for j in range(neg_rate)], [(2, 1, 5)] * neg_rate])
+        cfg = TrainConfig(k=2, margin=1.0, neg_rate=neg_rate)
+        buffers = train.StepBuffers()
+        loss, grads, n_active = train._loss_and_grads(table, pos, neg, cfg, buffers)
+        assert loss == 0.0 and n_active == 0
+        assert grads.ids.size == 0 and grads.grads.shape == (0, 4, 2)
+        params = table.params.copy()
+        acc = np.random.default_rng(16).random(table.params.shape)
+        before = acc.copy()
+        adagrad_step(table, acc, grads, cfg.lr, buffers)
+        assert table.params.tobytes() == params.tobytes()
+        assert acc.tobytes() == before.tobytes()
+
+
+def two_pass_fit_loop(store, cfg):
+    """fit without validation, stepping on `two_pass_loss_and_grads`: the
+    table, the per-epoch losses and active fractions, and the number of steps
+    with an inactive triple."""
+    table = init_embeddings(store.n_entities, store.n_relations, cfg.k, cfg.seed)
+    acc = np.zeros_like(table.params)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    n_train = store.train.shape[0]
+    losses, fractions, steps_with_inactive = [], [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_train)
+        epoch_loss, active = 0.0, 0
+        for lo in range(0, n_train, cfg.batch_size):
+            pos = store.train[order[lo:lo + cfg.batch_size]]
+            neg = sample_negatives(store, pos, cfg.neg_rate, cfg.constraint_mode,
+                                   rng).reshape(pos.shape[0], cfg.neg_rate, 3)
+            hinge, penalty, (ent_ids, ent), (rel_ids, rel), upstream = (
+                two_pass_loss_and_grads(table, pos, neg, cfg))
+            epoch_loss += hinge + penalty
+            active += np.count_nonzero(upstream)
+            steps_with_inactive += bool((upstream == 0).any())
+            grads = GradientBuffer(np.concatenate([ent_ids, rel_ids + table.n_entities]),
+                                   np.concatenate([ent, rel]), table.n_entities)
+            adagrad_step(table, acc, grads, cfg.lr)
+        losses.append(epoch_loss / n_train)
+        fractions.append(active / (n_train * (1 + cfg.neg_rate)))
+    return table, losses, fractions, steps_with_inactive
 
 
 def reference_fit_loop(store, cfg):
@@ -392,6 +466,19 @@ class TestStepBuffers:
         assert np.array_equal(result.table.relations, table.relations)
         assert [rec["loss"] for rec in result.log] == losses
 
+    @pytest.mark.parametrize("loss_form", ["pairwise", "pointwise"])
+    def test_fit_without_penalties_matches_two_pass_loop(self, loss_form):
+        store = random_store(np.random.default_rng(31), n_entities=15, n_train=61,
+                             n_valid=5, n_test=5)
+        cfg = TrainConfig(k=5, epochs=6, batch_size=8, neg_rate=3, margin=0.5, seed=17,
+                          eval_every=0, loss_form=loss_form)
+        table, losses, fractions, steps_with_inactive = two_pass_fit_loop(store, cfg)
+        result = fit(store, cfg)
+        assert steps_with_inactive > 0
+        assert result.table.params.tobytes() == table.params.tobytes()
+        assert [rec["loss"] for rec in result.log] == losses
+        assert [rec["active_fraction"] for rec in result.log] == fractions
+
     def test_results_do_not_alias_step_buffers(self):
         table, pos, neg, cfg = smooth_instance(14, 3, l1=0.01, l2=0.02)
         first = grad_batch(table, pos, neg, cfg)
@@ -403,7 +490,7 @@ class TestStepBuffers:
         assert type(batch_loss(table, pos, neg, cfg)) is float
 
         buffers = train.StepBuffers()
-        loss, grads = train._loss_and_grads(table, pos, neg, cfg, buffers)
+        loss, grads, _ = train._loss_and_grads(table, pos, neg, cfg, buffers)
         train.adagrad_step(table, np.zeros_like(table.params), grads, cfg.lr, buffers)
         assert type(loss) is float and buffers._storage
         for arr in (grads.ids, grads.grads):
