@@ -188,12 +188,17 @@ def build_store(train: list[RawTriple], valid: list[RawTriple],
     n, m = len(entity_ids), len(relation_ids)
     h, r, t = np.concatenate([train_arr, valid_arr, test_arr]).T
 
+    # The vocabulary keys are the first-appearance strings of the raw
+    # triples, scattered among every other string and tuple the parse made
+    # (about 490k objects at WN18RR size). Kept by the store, they would hold
+    # the allocator's arenas resident after the raw lists are freed, so the
+    # store keeps fresh copies made together instead.
     return TripleStore(
         train=train_arr,
         valid=valid_arr,
         test=test_arr,
-        entity_names=list(entity_ids),
-        relation_names=list(relation_ids),
+        entity_names=[name.encode().decode() for name in entity_ids],
+        relation_names=[name.encode().decode() for name in relation_ids],
         tail_keys=_sorted_unique((h * m + r) * n + t),
         head_keys=_sorted_unique((t * m + r) * n + h),
         type_head_keys=_sorted_unique(train_arr[:, 1] * n + train_arr[:, 0]),

@@ -41,6 +41,9 @@ SCORERS = ("quate_d", "rotate", "quate_inner")
 
 _MAGIC = b"QKGE"
 FORMAT_VERSION = 1
+# Bytes of scratch that initialization and checkpoint I/O hold at a time
+# beyond the table itself.
+_CHUNK_BYTES = 2**20
 
 
 @dataclass
@@ -73,6 +76,12 @@ class EmbeddingTable:
         return EmbeddingTable(self.params.copy(), self.n_entities, self.seed)
 
 
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes each that fit in one ``_CHUNK_BYTES`` chunk
+    (at least one)."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill the (rows, 4, k) array `out` with the scaled polar scheme.
 
@@ -80,23 +89,31 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
     theta uniform in [-pi, pi], and a uniformly random unit imaginary
     direction; the real part is rho*cos(theta) and the imaginary parts are
     rho*sin(theta) times the direction. The coordinate magnitude is |rho|.
+
+    RNG order: all of theta, then all of rho, then the (rows, 3, k) Gaussian
+    directions in C order. The directions are drawn and turned into rows one
+    chunk of rows at a time; ``standard_normal`` fills in C order, so the
+    chunks continue one stream and the table does not depend on the chunk
+    size. Beyond `out`, only theta, rho and one chunk's temporaries are held.
     """
     rows, _, k = out.shape
     bound = 1.0 / math.sqrt(2.0 * k)
     theta = rng.uniform(-math.pi, math.pi, size=(rows, k))
     rho = rng.uniform(-bound, bound, size=(rows, k))
-    gauss = rng.standard_normal(size=(rows, 3, k))
-    norms = np.sqrt(np.einsum("rck,rck->rk", gauss, gauss))
-    degenerate = norms <= 1e-12
-    if np.any(degenerate):
-        gauss[:, 0, :][degenerate] = 1.0
-        norms[degenerate] = 1.0
-    # Built in place: the imaginary parts are the direction times
-    # rho*sin(theta), the real part rho*cos(theta).
-    imag = np.divide(gauss, norms[:, None, :], out=out[:, 1:, :])
-    del gauss
-    imag *= (rho * np.sin(theta))[:, None, :]
-    np.multiply(rho, np.cos(theta), out=out[:, 0, :])
+    step = _chunk_rows(3 * k * 8)
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        gauss = rng.standard_normal(size=(min(step, rows - lo), 3, k))
+        norms = np.sqrt(np.einsum("rck,rck->rk", gauss, gauss))
+        degenerate = norms <= 1e-12
+        if np.any(degenerate):
+            gauss[:, 0, :][degenerate] = 1.0
+            norms[degenerate] = 1.0
+        # Built in place: the imaginary parts are the direction times
+        # rho*sin(theta), the real part rho*cos(theta).
+        imag = np.divide(gauss, norms[:, None, :], out=out[part, 1:, :])
+        imag *= (rho[part] * np.sin(theta[part]))[:, None, :]
+        np.multiply(rho[part], np.cos(theta[part]), out=out[part, 0, :])
 
 
 def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> EmbeddingTable:
@@ -264,8 +281,11 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
 
     The bytes go to a temporary file beside `path` that then replaces it, so a
     write that fails or is killed midway leaves an earlier file at `path` as
-    it was.
+    it was. Each component is written in row chunks through one chunk-sized
+    buffer, so the write holds no copy of a whole component.
     """
+    step = _chunk_rows(table.k * 8)
+    chunk = np.empty((min(step, table.params.shape[0]), table.k), dtype="<f8")
     meta = {
         "config_hash": config_hash,
         "format_version": FORMAT_VERSION,
@@ -284,8 +304,10 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
             handle.write(header)
             for block in (table.entities, table.relations):
                 for component in range(4):
-                    handle.write(np.ascontiguousarray(block[:, component, :],
-                                                      dtype="<f8").data)
+                    for lo in range(0, block.shape[0], step):
+                        part = chunk[:min(step, block.shape[0] - lo)]
+                        np.copyto(part, block[lo:lo + step, component, :])
+                        handle.write(part.data)
         os.replace(temporary, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -301,19 +323,25 @@ def _header_int(meta: dict, key: str, minimum: int, path) -> int:
     return value
 
 
-def _read_block(handle, block: np.ndarray) -> None:
-    """Read four (rows, k) component blocks into the (rows, 4, k) `block`."""
-    component = np.empty((block.shape[0], block.shape[2]), dtype="<f8")
+def _read_block(handle, block: np.ndarray, path) -> None:
+    """Read four (rows, k) component blocks into the (rows, 4, k) `block`,
+    in row chunks through one reused chunk buffer."""
+    rows, _, k = block.shape
+    step = _chunk_rows(k * 8)
+    chunk = np.empty((min(step, rows), k), dtype="<f8")
     for c in range(4):
-        handle.readinto(component)
-        block[:, c, :] = component
+        for lo in range(0, rows, step):
+            part = chunk[:min(step, rows - lo)]
+            if handle.readinto(part) != part.nbytes:
+                raise CheckpointError(f"{path}: payload ended before its declared size")
+            block[lo:lo + step, c, :] = part
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
     """Read a checkpoint; any malformed content raises CheckpointError.
 
-    The table is read component by component into one preallocated array, so
-    peak memory is the table plus one component block.
+    The table is read in chunks of rows into one preallocated array, so peak
+    memory is the table plus one chunk.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(12)
@@ -342,8 +370,8 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
             raise CheckpointError(
                 f"{path}: payload is {payload} bytes, expected {expected}")
         table = EmbeddingTable(np.empty((n + m, 4, k)), n, seed)
-        _read_block(handle, table.entities)
-        _read_block(handle, table.relations)
+        _read_block(handle, table.entities, path)
+        _read_block(handle, table.relations, path)
     return table, meta
 
 

@@ -487,7 +487,10 @@ def fit(store: TripleStore, config: TrainConfig,
             record["val_mrr"] = report.mrr
             if report.mrr > best_mrr:
                 best_mrr = report.mrr
-                best_table = table.copy()
+                if best_table is None:
+                    best_table = table.copy()
+                else:  # one best buffer for the whole run
+                    np.copyto(best_table.params, table.params)
                 result.best_report = report
                 result.best_epoch = epoch
                 evals_since_best = 0

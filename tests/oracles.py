@@ -2,9 +2,10 @@
 
 Everything here deliberately takes the slow road: scores from the scalar
 ``Quaternion`` class below (numpy complex128 for ``rotate``), sort-based
-ranks, linear scans of the splits, and exhaustive threshold scans. The only
-names taken from the package are the ``data`` position constants, so none of
-it shares code with the vectorized production paths it verifies.
+ranks, linear scans of the splits, exhaustive threshold scans, and the
+one-shot table draw. The only names taken from the package are the ``data``
+position constants, so none of it shares code with the vectorized production
+paths it verifies.
 """
 
 from __future__ import annotations
@@ -244,3 +245,32 @@ def reference_threshold(pos_scores, neg_scores, lower_is_better=True) -> float:
         if acc > best_acc:
             best_th, best_acc = th, acc
     return best_th
+
+
+def reference_draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
+    """The scaled polar draw of (rows, 4, k) `out` in one shot: theta, rho and
+    every Gaussian direction drawn whole, then combined."""
+    rows, _, k = out.shape
+    bound = 1.0 / math.sqrt(2.0 * k)
+    theta = rng.uniform(-math.pi, math.pi, size=(rows, k))
+    rho = rng.uniform(-bound, bound, size=(rows, k))
+    gauss = rng.standard_normal(size=(rows, 3, k))
+    norms = np.sqrt(np.einsum("rck,rck->rk", gauss, gauss))
+    degenerate = norms <= 1e-12
+    if np.any(degenerate):
+        gauss[:, 0, :][degenerate] = 1.0
+        norms[degenerate] = 1.0
+    # Built in place: the imaginary parts are the direction times
+    # rho*sin(theta), the real part rho*cos(theta).
+    imag = np.divide(gauss, norms[:, None, :], out=out[:, 1:, :])
+    del gauss
+    imag *= (rho * np.sin(theta))[:, None, :]
+    np.multiply(rho, np.cos(theta), out=out[:, 0, :])
+
+
+def reference_init(n_entities: int, n_relations: int, k: int, rng) -> np.ndarray:
+    """(N + M, 4, k) parameters drawn one-shot from `rng`, entities first."""
+    params = np.empty((n_entities + n_relations, 4, k))
+    reference_draw_rows(rng, params[:n_entities])
+    reference_draw_rows(rng, params[n_entities:])
+    return params

@@ -7,8 +7,11 @@ checks. The pipeline generates the planted 200-entity graph (seed 11), prints
 its stats, trains briefly, ranks the test split raw and filtered with type
 constraints off and on for every scorer, classifies the test triples, and
 inspects and property-checks the checkpoint. Two more short trains cover the
-pointwise loss and, type-constrained, the l1/l2 penalties. Each keyvalue
-report and each checkpoint is recorded by its sha256.
+pointwise loss and, type-constrained, the l1/l2 penalties. A 10,003-row,
+k = 16 table drawn by ``init_embeddings`` and its checkpoint cover
+initialization and checkpoint writing at a size that spans several of their
+chunks. Each keyvalue report, each checkpoint and the drawn table's bytes
+are recorded by their sha256.
 
 Training rounding follows numpy's SIMD dispatch and ranking follows the BLAS
 kernel, so the digests are stored with the platform that made them: the
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from quatkge import cli
-from quatkge.model import SCORERS
+from quatkge.model import SCORERS, init_embeddings, save_checkpoint
 from quatkge.synthetic import planted_graph
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
@@ -61,7 +64,7 @@ def _run(*argv: str) -> None:
 
 
 def run_pipeline(work: Path) -> dict[str, str]:
-    """sha256 of every keyvalue report and the checkpoint, keyed by path."""
+    """sha256 of every keyvalue report, checkpoint and drawn table, keyed by path."""
     splits = planted_graph(n_entities=200, sym_pairs=200, seed=11).write(work / "demo")
     data = [arg for flag, path in zip(("--train", "--valid", "--test"), splits)
             for arg in (flag, str(path))]
@@ -82,7 +85,11 @@ def run_pipeline(work: Path) -> dict[str, str]:
                  "--type-constraints", constraint,
                  "--out", str(run / f"eval_{scorer}_{constraint}"))
     _run("classify", *checkpoint, *data, "--seed", "0", "--out", str(run / "classify"))
-    outputs = sorted(run.rglob("*.keyvalue")) + sorted(run.rglob("checkpoint.bin"))
+    table = init_embeddings(10_000, 3, 16, seed=5)
+    (run / "chunk_scale").mkdir()
+    (run / "chunk_scale" / "init_params.bin").write_bytes(table.params.astype("<f8").tobytes())
+    save_checkpoint(table, run / "chunk_scale" / "checkpoint.bin")
+    outputs = sorted(run.rglob("*.keyvalue")) + sorted(run.rglob("*.bin"))
     return {path.relative_to(run).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in outputs}
 

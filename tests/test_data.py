@@ -57,6 +57,17 @@ class TestBuildStore:
         assert store.entity_names == ["b", "a", "c"]
         assert store.relation_names == ["r2", "r1"]
 
+    def test_names_are_fresh_copies(self):
+        # Two or more characters: CPython shares one-character strings.
+        train = [("bb", "r2", "aa"), ("aa", "r1", "cc")]
+        valid = [("dd", "r2", "bb")]
+        store = make_store(train, valid)
+        assert store.entity_names == ["bb", "aa", "cc", "dd"]
+        assert store.relation_names == ["r2", "r1"]
+        raw = [name for triple in train + valid for name in triple]
+        assert not any(name is kept for name in raw
+                       for kept in store.entity_names + store.relation_names)
+
     def test_vocab_round_trip(self, tiny_store):
         decoded = [(tiny_store.entity_names[h], tiny_store.relation_names[r],
                     tiny_store.entity_names[t]) for h, r, t in tiny_store.train.tolist()]

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatkge import quat
+from quatkge import model, quat
 from quatkge.errors import CheckpointError, ShapeMismatchError, ZeroQuaternionError
 from quatkge.model import (CandidateScorer, check_table_matches_store,
                            init_embeddings, load_checkpoint, save_checkpoint,
                            score_triples)
 
-from oracles import reference_score
+from oracles import reference_init, reference_score
 
 
 def score(table, h, r, t, scorer="quate_d"):
@@ -55,9 +56,53 @@ class TestInit:
         assert reals.size == 10**6
         assert abs(reals.mean()) < 3 * sigma / math.sqrt(reals.size)
 
+    # k = 5: 120 bytes of Gaussian directions per row, so chunks of 1, 4 and
+    # 7 rows; 30 entity and 9 relation rows leave a remainder chunk.
+    CHUNKS = [1, 4 * 120, 7 * 120 + 1]
+
+    @pytest.mark.parametrize("chunk_bytes", CHUNKS)
+    def test_chunked_draw_equals_one_shot_draw(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        table = init_embeddings(30, 9, 5, seed=3)
+        expected = reference_init(30, 9, 5, np.random.default_rng(3))
+        assert table.params.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk_bytes", CHUNKS)
+    def test_degenerate_direction_in_a_later_chunk(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        row, col = 22, 3
+        params = np.empty((39, 4, 5))
+        rng = ZeroDirectionRng(3, row, col)
+        model._draw_rows(rng, params[:30])
+        model._draw_rows(rng, params[30:])
+        expected = reference_init(30, 9, 5, ZeroDirectionRng(3, row, col))
+        assert params.tobytes() == expected.tobytes()
+        # the zero direction became the unit i direction
+        assert np.all(params[row, 2:, col] == 0.0) and params[row, 1, col] != 0.0
+
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             init_embeddings(0, 1, 4, seed=0)
+
+
+class ZeroDirectionRng:
+    """A generator whose Gaussian stream, counted in (3, k) rows over all
+    ``standard_normal`` calls, has an all-zero direction at `row`, `col`,
+    however the calls split the rows."""
+
+    def __init__(self, seed, row, col):
+        self.rng = np.random.default_rng(seed)
+        self.row, self.col, self.drawn = row, col, 0
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+    def standard_normal(self, size):
+        gauss = self.rng.standard_normal(size=size)
+        if 0 <= self.row - self.drawn < size[0]:
+            gauss[self.row - self.drawn, :, self.col] = 0.0
+        self.drawn += size[0]
+        return gauss
 
 
 class TestRotateHead:
@@ -393,6 +438,54 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("chunk_bytes", [8, 4 * 40, 7 * 40 + 1])
+    def test_chunked_bytes_equal_whole_block_writer(self, tmp_path, monkeypatch,
+                                                    chunk_bytes):
+        # k = 5: 40 bytes per component row, so chunks of 1, 4 and 7 rows
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        table = init_embeddings(30, 9, 5, seed=4)
+        path = tmp_path / "model.bin"
+        save_checkpoint(table, path, config_hash="abc")
+        header = dict(header_of(table), config_hash="abc")
+        assert path.read_bytes() == with_header(
+            table, json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        loaded, _ = load_checkpoint(path)
+        assert loaded.params.tobytes() == table.params.tobytes()
+
+    def test_short_chunk_read_is_checkpoint_error(self, tmp_path, monkeypatch):
+        """A file that shrinks after the size check: a later chunk reads short."""
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 4 * 40)
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_embeddings(30, 9, 5, seed=4), path)
+
+        class ShrinkingFile:
+            """Reads normally until the third chunk, which gets half its bytes."""
+
+            def __init__(self, handle):
+                self.handle, self.reads = handle, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def readinto(self, buffer):
+                self.reads += 1
+                view = memoryview(buffer).cast("B")
+                if self.reads == 3:
+                    view = view[:len(view) // 2]
+                return self.handle.readinto(view)
+
+        real_open = open
+        with mock.patch("quatkge.model.open", create=True,
+                        side_effect=lambda *a, **kw: ShrinkingFile(real_open(*a, **kw))):
+            with pytest.raises(CheckpointError, match="ended before"):
+                load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -444,6 +537,48 @@ class TestCheckpoint:
         path.write_bytes(with_header(init_embeddings(4, 2, 3, seed=24), header))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestMemoryBudgets:
+    """Initialization and checkpoint I/O hold the table plus about one chunk.
+
+    At N = 20,000 and k = 50 the table is 32 MB and a chunk 1 MiB. tracemalloc
+    sees numpy's data buffers; the budgets count bytes above what was traced
+    before the call.
+    """
+
+    N, M, K = 20_000, 3, 50
+
+    @property
+    def table_bytes(self) -> int:
+        return (self.N + self.M) * 4 * self.K * 8
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_init(self):
+        # the table, theta and rho of the entity rows (half a table), and
+        # one chunk of Gaussian directions with its temporaries
+        peak = self.traced_peak(lambda: init_embeddings(self.N, self.M, self.K, seed=1))
+        assert peak <= 1.5 * self.table_bytes + 4 * model._CHUNK_BYTES
+
+    def test_save(self, tmp_path):
+        table = init_embeddings(self.N, self.M, self.K, seed=1)
+        peak = self.traced_peak(lambda: save_checkpoint(table, tmp_path / "model.bin"))
+        assert peak <= 2 * model._CHUNK_BYTES
+
+    def test_load(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_embeddings(self.N, self.M, self.K, seed=1), path)
+        peak = self.traced_peak(lambda: load_checkpoint(path))
+        assert peak <= self.table_bytes + 2 * model._CHUNK_BYTES
 
 
 def header_of(table) -> dict:

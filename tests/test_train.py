@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quatkge import evaluation, train
 from quatkge.data import HEAD, TAIL
-from quatkge.model import init_embeddings
+from quatkge.model import EmbeddingTable, init_embeddings
 from quatkge.train import (EPS_ADAGRAD, GradientBuffer, TrainConfig,
                            adagrad_step, batch_loss, fit, grad_batch,
                            sample_negatives)
@@ -610,6 +610,21 @@ class TestFit:
         assert result.best_report.mrr == max(rec["val_mrr"] for rec in result.log
                                              if "val_mrr" in rec)
         assert fit(store, replace(cfg, eval_every=0)).best_report is None
+
+    def test_one_best_table_buffer(self):
+        store = self.small_store(seed=22)
+        cfg = TrainConfig(k=4, epochs=7, seed=5, eval_every=1, patience=10)
+        with mock.patch.object(EmbeddingTable, "copy", autospec=True,
+                               side_effect=EmbeddingTable.copy) as copy:
+            result = fit(store, cfg)
+        mrrs = [rec["val_mrr"] for rec in result.log]
+        improving = [i for i, mrr in enumerate(mrrs) if mrr > max(mrrs[:i], default=-1)]
+        assert len(improving) >= 3 and result.best_epoch < cfg.epochs
+        assert copy.call_count == 1
+        # validation draws nothing from the training stream, so a run that
+        # stops at the best epoch ends on the table the full run kept
+        stopped = fit(store, replace(cfg, epochs=result.best_epoch, eval_every=0))
+        assert result.table.params.tobytes() == stopped.table.params.tobytes()
 
     def test_loss_decreases_on_average(self):
         store = self.small_store(seed=21)
