@@ -19,6 +19,13 @@ compared exactly. Ranks therefore follow ``score_triples`` (the direct
 difference, for the distances), not the rounding of the key's expansion, so
 they depend only on the table: not on the BLAS kernel, the block height or
 the tile width.
+
+The tiles of a block are cut into one contiguous span per ranking thread
+(the CPUs the process may use, divided by the threads of each BLAS product),
+and each span is swept on a thread of its own into its own integer counts,
+which are added up once every span has ended; the thread count therefore
+does not move a rank either. The spans share one _TILE_BYTES budget for
+their tile buffers.
 """
 
 from __future__ import annotations
@@ -27,16 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import train
+from . import model, train
 from .data import HEAD, TAIL, TripleStore
 from .model import CandidateScorer, EmbeddingTable, lower_is_better, score_triples
 
 HITS_AT = (1, 3, 10)
 MODES = ("raw", "filtered")
 
-# Triples per ranking block, and float64 key bytes per column tile: 2,048
-# columns for the 256 queries of a full block. Probed at N = 40,943, k = 100
-# on a 2-vCPU VM with one OpenBLAS 0.3.31 thread, ranking a 512-triple split
+# Triples per ranking block, and float64 key bytes of the column tiles that
+# a block's spans sweep at once: each of w workers gets 2,048 / w columns for
+# the 256 queries of a full block. Probed before ranking was threaded, at
+# N = 40,943, k = 100 on a 2-vCPU VM with one ranking thread and one OpenBLAS
+# 0.3.31 thread, ranking a 512-triple split
 # filtered with type constraints:
 # blocks of 32, 64, 128 and 256 triples gave 812, 924, 1,008 and 943
 # queries/s (one-direction blocks of 51 triples: 652), all at a peak RSS of
@@ -81,6 +90,10 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
 
     `queries` is ``cand.queries(rows)``, `mask` the stacked (2B, N) candidate
     masks in the same order; the gold columns are cleared from `mask` here.
+    The column tiles are cut into one contiguous span per worker. Each span
+    counts into its own rows of `better` and `tied` with tile buffers that
+    the calling thread allocates, so the ranks are sums of integer counts
+    that no two threads share.
     """
     count, n = mask.shape
     gold = np.concatenate([rows[:, 2], rows[:, 0]])
@@ -89,33 +102,43 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
     band = _TIE_BAND * (np.einsum("bc,bc->b", queries, queries) + cand.max_row_sq)
     gold_keys = cand.pair_keys(scaled, gold)
     low, high = (gold_keys - band)[:, None], (gold_keys + band)[:, None]
-    better = np.zeros(count, dtype=np.int64)
-    tied = np.ones(count, dtype=np.int64)  # the gold
-    gold_exact = None
-    width = max(1, _TILE_BYTES // (8 * count))
-    keys = np.empty((count, min(width, n)))
-    below = np.empty(keys.shape, dtype=bool)
-    near = np.empty(keys.shape, dtype=bool)
-    for lo in range(0, n, width):
-        hi = min(n, lo + width)
-        cols = slice(0, hi - lo)
-        tile = cand.keys(scaled, lo, hi, out=keys[:, cols])
-        candidates = mask[:, lo:hi]
-        tile_below = np.less(tile, low, out=below[:, cols])
-        tile_below &= candidates
-        tile_near = np.less_equal(tile, high, out=near[:, cols])
-        tile_near &= candidates
-        # int32 row sums count a bool block about twice as fast as
-        # count_nonzero(axis=1), which sums through an intp cast
-        tile_better = tile_below.sum(axis=1, dtype=np.int32)
-        better += tile_better
-        if np.count_nonzero(tile_near) != tile_better.sum():
-            if gold_exact is None:
-                gold_exact = np.tile(cand.exact(rows), 2)
-            tile_near ^= tile_below  # the band
-            query, entity = np.nonzero(tile_near)
-            _settle(cand, rows, query, entity + lo, gold_exact, better, tied)
-    return better + (tied + 1) / 2.0
+    workers = model._worker_count()
+    width = max(1, _TILE_BYTES // (8 * count * workers))
+    tiles = -(-n // width)
+    spans = min(workers, tiles)
+    better = np.zeros((spans, count), dtype=np.int64)
+    tied = np.zeros((spans, count), dtype=np.int64)
+    shape = (count, min(width, n))
+    buffers = [(np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
+                np.empty(count, dtype=np.int32)) for _ in range(spans)]
+
+    def sweep(span: int, first: int, last: int) -> None:
+        keys, below, near, tile_better = buffers[span]
+        gold_exact = None
+        for lo in range(first * width, min(n, last * width), width):
+            hi = min(n, lo + width)
+            cols = slice(0, hi - lo)
+            tile = cand.keys(scaled, lo, hi, out=keys[:, cols])
+            candidates = mask[:, lo:hi]
+            tile_below = np.less(tile, low, out=below[:, cols])
+            tile_below &= candidates
+            tile_near = np.less_equal(tile, high, out=near[:, cols])
+            tile_near &= candidates
+            # int32 row sums count a bool block about twice as fast as
+            # count_nonzero(axis=1), which sums through an intp cast
+            tile_below.sum(axis=1, dtype=np.int32, out=tile_better)
+            better[span] += tile_better
+            if np.count_nonzero(tile_near) != tile_better.sum():
+                if gold_exact is None:
+                    gold_exact = np.tile(cand.exact(rows), 2)
+                tile_near ^= tile_below  # the band
+                query, entity = np.nonzero(tile_near)
+                _settle(cand, rows, query, entity + lo, gold_exact, better[span],
+                        tied[span])
+
+    model._over_spans(sweep, tiles, spans)
+    tied = tied.sum(axis=0) + 1  # the gold
+    return better.sum(axis=0) + (tied + 1) / 2.0
 
 
 def _settle(cand: CandidateScorer, rows: np.ndarray, query: np.ndarray,
@@ -126,8 +149,8 @@ def _settle(cand: CandidateScorer, rows: np.ndarray, query: np.ndarray,
 
     A tail candidate e of triple (h, r, t) is scored as (h, r, e), a head
     candidate as (e, r, t). Candidates are scored in chunks of about
-    _TILE_BYTES per (rows, 4, k) array, so that a table whose candidates all
-    tie still ranks in bounded memory.
+    _TILE_BYTES per (rows, 4, k) array and span, so that a table whose
+    candidates all tie still ranks in bounded memory.
     """
     b = rows.shape[0]
     step = max(1, _TILE_BYTES // (32 * cand.table.k))
@@ -176,10 +199,10 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    cand = CandidateScorer(table, scorer)
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise ValueError(f"split {split!r} is empty")
+    cand = CandidateScorer(table, scorer)
     pools = ({position: store.type_pools(position) for position in (TAIL, HEAD)}
              if constraint else {TAIL: None, HEAD: None})
     ranks = np.empty((triples.shape[0], 2))

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,14 @@ FORMAT_VERSION = 1
 # Bytes of scratch that initialization and checkpoint I/O hold at a time
 # beyond the table itself.
 _CHUNK_BYTES = 2**20
+# Variables that set OpenBLAS's thread count when it loads, by precedence.
+# Two ranking threads that each ran a two-thread OpenBLAS product ranked
+# about 10% slower than one (N = 40,943, k = 100, 2-vCPU VM).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Fewest table bytes the row-norm pass of ``CandidateScorer`` gives a thread
+# of its own: about 0.25 ms of einsum against about 0.1 ms to start and join
+# a thread (2-vCPU VM).
+_SPAN_BYTES = 2**22
 
 
 @dataclass
@@ -80,6 +89,65 @@ def _chunk_rows(row_bytes: int) -> int:
     """Rows of `row_bytes` bytes each that fit in one ``_CHUNK_BYTES`` chunk
     (at least one)."""
     return max(1, _CHUNK_BYTES // row_bytes)
+
+
+def _worker_count() -> int:
+    """Ranking threads: the CPUs this process may run on (its affinity set,
+    which ``taskset`` narrows, where the platform reports one), divided by
+    the threads each BLAS product runs on.
+
+    BLAS libraries take every CPU unless one of _BLAS_THREAD_VARS limits
+    them when they load, so an unlimited BLAS leaves one ranking thread and
+    a one-thread BLAS one per CPU.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        cpus = os.cpu_count() or 1
+    for name in _BLAS_THREAD_VARS:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def _over_spans(fn, n: int, spans: int) -> list:
+    """``[fn(i, lo, hi) for each span i]``, where the `spans` spans
+    [lo, hi) cut range(n) into contiguous runs as equal as whole numbers
+    allow (1 <= spans <= n).
+
+    Span 0 runs on the calling thread and every other span on a thread of
+    its own, so one span starts no thread. numpy releases the interpreter
+    lock in the products, ufuncs and einsums the spans run, so the threads
+    overlap. The call returns once every thread has ended; if a span
+    raised, the exception of the first such span is raised then.
+    """
+    if spans == 1:
+        return [fn(0, 0, n)]
+    bounds = [n * i // spans for i in range(spans + 1)]
+    results: list = [None] * spans
+    errors: list = [None] * spans
+
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(i, bounds[i], bounds[i + 1])
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, spans):
+            thread = threading.Thread(target=run, args=(i,), name=f"quatkge-span-{i}")
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -194,8 +262,19 @@ class CandidateScorer:
         self._width = (2 if scorer == "rotate" else 4) * table.k
         # (N, C) view of the entity columns the products read
         self._cols = table.entities.reshape(table.n_entities, -1)[:, :self._width]
-        self._row_sq = np.einsum("nc,nc->n", self._cols, self._cols)
-        self.max_row_sq = float(self._row_sq.max())
+        # |e|^2 in spans of at least _SPAN_BYTES of columns, one per worker;
+        # each row's sum is the whole-table einsum's
+        n = table.n_entities
+        step = max(1, _SPAN_BYTES // (8 * self._width))
+        units = -(-n // step)
+        self._row_sq = np.empty(n)
+
+        def norms(_, first: int, last: int) -> float:
+            rows = slice(first * step, last * step)
+            return np.einsum("nc,nc->n", self._cols[rows], self._cols[rows],
+                             out=self._row_sq[rows]).max()
+
+        self.max_row_sq = float(max(_over_spans(norms, units, min(_worker_count(), units))))
         self.key_scale = -1.0 if scorer == "quate_inner" else -2.0
         if not (np.all(np.isfinite(self._row_sq))
                 and np.all(np.isfinite(table.relations))):

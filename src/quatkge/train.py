@@ -436,7 +436,9 @@ def fit(store: TripleStore, config: TrainConfig,
     checkpoint is kept and training stops after `patience` evaluations without
     improvement. With `checkpoint_path`, the table is also written there at
     every new validation best (and at the end when validation never ran).
-    Single-threaded and deterministic given the config seed.
+    Deterministic given the config seed. Training steps run on the calling
+    thread; validation may rank on several threads, with the same report for
+    any thread count.
     """
     def snapshot(current: EmbeddingTable) -> None:
         if checkpoint_path is not None:

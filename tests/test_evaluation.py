@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quatkge import evaluation
+from quatkge import evaluation, model
 from quatkge.data import HEAD, TAIL
 from quatkge.errors import ZeroQuaternionError
 from quatkge.evaluation import link_prediction, triple_classification
@@ -15,6 +17,11 @@ from quatkge.model import CandidateScorer, EmbeddingTable, init_embeddings
 
 from conftest import make_store, random_store
 import oracles
+
+
+def use_workers(monkeypatch, count):
+    """Rank as if the process could run on `count` CPUs."""
+    monkeypatch.setattr(model, "_worker_count", lambda: count)
 
 
 def line_table(positions, n_relations=1, k=1):
@@ -158,6 +165,15 @@ class TestRankEntity:
             link_prediction(table, store, "sorted")
 
 
+def near_tie_instance():
+    """A one-triple store whose candidates all fall inside the tie band."""
+    table = line_table([1e8, 1e8 + 1e-3, 1e8 + 2e-3, 1e8 + 3e-3], n_relations=2)
+    names = [f"e{i}" for i in range(4)]
+    store = make_store([(n, "pad", n) for n in names], [], [("e0", "r", "e3")])
+    assert tuple(store.test[0]) == (0, store.relation_names.index("r"), 3)
+    return table, store
+
+
 class TestLinkPrediction:
     def test_perfect_model(self):
         # self-loop test triples with identity relation: phi(x, r, x) = 0 and
@@ -172,24 +188,36 @@ class TestLinkPrediction:
         assert all(v == 1.0 for v in report.hits.values())
         assert report.count == 2
 
-    def test_near_tie_ranked_by_direct_difference(self):
+    def test_near_tie_ranked_by_direct_difference(self, monkeypatch):
         # At |q|^2 = 1e16 the expansion |q|^2 + |e|^2 - 2<q, e> rounds in
         # steps of 2, so the squared distances 1e-6 to 9e-6 of these four
         # entities are lost in it; the direct differences separate them, and
         # the gold of both queries of (e0, r, e3) lies farthest away.
-        table = line_table([1e8, 1e8 + 1e-3, 1e8 + 2e-3, 1e8 + 3e-3], n_relations=2)
-        names = [f"e{i}" for i in range(4)]
-        train = [(n, "pad", n) for n in names]
-        store = make_store(train, [], [("e0", "r", "e3")])
-        triple = (0, store.relation_names.index("r"), 3)
-        assert tuple(store.test[0]) == triple
-        for mode in ("raw", "filtered"):
-            report = link_prediction(table, store, mode=mode)
-            expected = oracles.reference_report(table, store, mode)
-            assert expected["mr"] == 4.0
-            assert report.mr == expected["mr"]
-            assert report.mrr == expected["mrr"]
-            assert report.hits == expected["hits"]
+        table, store = near_tie_instance()
+        settled_on = set()
+        settle = evaluation._settle
+
+        def recording(*args):
+            settled_on.add(threading.get_ident())
+            return settle(*args)
+
+        monkeypatch.setattr(evaluation, "_settle", recording)
+        # at the default tile width, then in one-column tiles, so that with
+        # 2 or 3 workers every span settles candidates of its own
+        for workers in (None, 1, 2, 3):
+            if workers is not None:
+                use_workers(monkeypatch, workers)
+                monkeypatch.setattr(evaluation, "_TILE_BYTES", 16)
+            for mode in ("raw", "filtered"):
+                settled_on.clear()
+                report = link_prediction(table, store, mode=mode)
+                expected = oracles.reference_report(table, store, mode)
+                assert expected["mr"] == 4.0
+                assert report.mr == expected["mr"]
+                assert report.mrr == expected["mrr"]
+                assert report.hits == expected["hits"]
+                # thread ids can be reused once a span's thread has ended
+                assert (len(settled_on) >= 2) == (workers in (2, 3))
 
     def test_oracle_equivalence_fixture50(self, fixture50):
         store, table = fixture50
@@ -260,6 +288,17 @@ class TestLinkPrediction:
         assert set(report.per_relation_mrr) == {0}
         assert report.per_relation_mrr[0] == pytest.approx(report.mrr)
         assert link_prediction(table, store).per_relation_mrr == report.per_relation_mrr
+
+    def test_empty_split_raises_before_scoring(self, monkeypatch):
+        store = make_store([("a", "r", "b")], [("a", "r", "b")], [])
+        table = init_embeddings(store.n_entities, store.n_relations, 3, seed=3)
+
+        def forbidden(*args):
+            raise AssertionError("scorer built for an empty split")
+
+        monkeypatch.setattr(evaluation, "CandidateScorer", forbidden)
+        with pytest.raises(ValueError, match="split 'test' is empty"):
+            link_prediction(table, store)
 
     def test_gold_reinserted_counted(self):
         # relation r's training tails never include the test tail "odd"
@@ -379,21 +418,80 @@ class TestScoreBlocks:
 
     @pytest.mark.parametrize("triples", [1, 2, 3])
     def test_oracle_equivalence(self, fixture50, monkeypatch, triples):
+        # the workers share a full block's 6 columns, in tiles of 6, 3 or 2:
+        # fixture50's 20 entities end in a partial tile at 1 and 2 workers,
+        # the pooled instance's 21 at 1 and 3
         instances = [(fixture50, 0), (self.pooled_instance(*fixture50), 2)]
         for (store, table), reinserted_at_least in instances:
             assert store.test.shape[0] % 3 != 0  # blocks of 3 end in a partial one
             assert store.n_entities % self.TILE_COLUMNS != 0
             self.use_blocks(monkeypatch, triples)
-            for constraint in (False, True):
-                for mode in ("raw", "filtered"):
-                    report = link_prediction(table, store, mode=mode, constraint=constraint)
-                    expected = self.assert_reference(report, table, store, mode, constraint)
-                    if constraint:
-                        assert expected["gold_reinserted"] >= reinserted_at_least
+            for workers in (1, 2, 3):
+                use_workers(monkeypatch, workers)
+                for constraint in (False, True):
+                    for mode in ("raw", "filtered"):
+                        report = link_prediction(table, store, mode=mode,
+                                                 constraint=constraint)
+                        expected = self.assert_reference(report, table, store, mode,
+                                                         constraint)
+                        if constraint:
+                            assert expected["gold_reinserted"] >= reinserted_at_least
+
+    @pytest.mark.parametrize("workers, columns, spans", [
+        (2, 40, 1),   # one tile: ranked on the calling thread
+        (3, 30, 2),   # more workers than the two tiles
+        (3, 21, 3),   # 7-column tiles, the last span ending in a partial one
+        (5, 5, 5),    # five spans of one tile each
+    ])
+    def test_spans_of_tiles(self, fixture50, monkeypatch, workers, columns, spans):
+        store, table = fixture50
+        self.use_blocks(monkeypatch, 3, columns=columns)
+        use_workers(monkeypatch, 1)
+        alone = link_prediction(table, store, constraint=True)
+        used = []
+        over_spans = model._over_spans
+
+        def recording(fn, n, count):
+            used.append(count)
+            return over_spans(fn, n, count)
+
+        monkeypatch.setattr(model, "_over_spans", recording)
+        use_workers(monkeypatch, workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = link_prediction(table, store, constraint=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report == alone
+        self.assert_reference(report, table, store, "filtered", True)
+        # the scorer's row norms (20 rows: one span), then one sweep per
+        # block of 3 triples; the last, partial block's tiles are wider
+        assert used[0] == 1 and used[1] == spans
+        assert len(used) == 1 + -(-store.test.shape[0] // 3)
+
+    @pytest.mark.parametrize("on_worker", [True, False])
+    def test_span_error_propagates(self, monkeypatch, on_worker):
+        table, store = near_tie_instance()
+        monkeypatch.setattr(evaluation, "_TILE_BYTES", 16)  # one-column tiles
+        use_workers(monkeypatch, 3)
+        exact = CandidateScorer.exact
+
+        def failing(cand, triples):
+            if (threading.current_thread() is threading.main_thread()) != on_worker:
+                raise RuntimeError("exact scoring failed")
+            return exact(cand, triples)
+
+        monkeypatch.setattr(CandidateScorer, "exact", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="exact scoring failed"):
+            link_prediction(table, store, mode="raw")
+        assert threading.active_count() == before
 
     def test_one_sweep_per_block(self, monkeypatch):
         """A block's tail and head queries share one key product per column
-        tile, and no (rows, N) float array is allocated."""
+        tile, the tiles cover every column once, and no (rows, N) float
+        array is allocated."""
         rng = np.random.default_rng(8)
         n, block = 20_000, 16
         names = [f"e{i}" for i in range(n)]
@@ -404,42 +502,53 @@ class TestScoreBlocks:
         # ranked at the default block height and tile width
         whole = {(constraint, mode): link_prediction(table, store, mode, constraint)
                  for constraint in (False, True) for mode in ("raw", "filtered")}
-        self.use_blocks(monkeypatch, block, columns=1_500)
-        calls = []
-        keys = CandidateScorer.keys
+        self.use_blocks(monkeypatch, block, columns=1_400)
+        blocks = []
+        keys, mean_rank = CandidateScorer.keys, evaluation._mean_rank
+
+        def ranking(cand, rows, queries, mask):
+            blocks.append((rows.shape[0], []))
+            return mean_rank(cand, rows, queries, mask)
 
         def recording(cand, scaled, lo, hi, out=None):
-            calls.append((scaled.shape[0], lo, hi))
+            blocks[-1][1].append((scaled.shape[0], lo, hi))  # spans may interleave
             return keys(cand, scaled, lo, hi, out)
 
         def forbidden(*args):
             raise AssertionError("ranking swept one direction on its own")
 
+        monkeypatch.setattr(evaluation, "_mean_rank", ranking)
         monkeypatch.setattr(CandidateScorer, "keys", recording)
         monkeypatch.setattr(CandidateScorer, "all_tails", forbidden)
         monkeypatch.setattr(CandidateScorer, "all_heads", forbidden)
-        expected = []
-        for start in range(0, store.test.shape[0], block):
-            rows = 2 * min(block, store.test.shape[0] - start)
-            width = evaluation._TILE_BYTES // (8 * rows)
-            expected += [(rows, lo, min(n, lo + width)) for lo in range(0, n, width)]
-        assert expected[-1][0] < 2 * block  # the split ends in a partial block
-        assert n % 1_500 != 0  # and a full block in a partial tile
-        for constraint in (False, True):
-            for mode in ("raw", "filtered"):
-                calls.clear()
-                tracemalloc.start()
-                try:
-                    report = link_prediction(table, store, mode=mode, constraint=constraint)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert calls == expected
-                # one direction's float scores for a block would take
-                # 8 * block * N bytes alone; the stacked bool mask takes a
-                # quarter of that
-                assert peak < 8 * block * n
-                assert report == whole[constraint, mode]
+        heights = [min(block, store.test.shape[0] - start)
+                   for start in range(0, store.test.shape[0], block)]
+        assert heights[-1] < block  # the split ends in a partial block
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            # a full block's tiles of 1,400 / workers columns end in a partial one
+            assert n % (1_400 // workers) != 0
+            for constraint in (False, True):
+                for mode in ("raw", "filtered"):
+                    blocks.clear()
+                    tracemalloc.start()
+                    try:
+                        report = link_prediction(table, store, mode=mode,
+                                                 constraint=constraint)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert [height for height, _ in blocks] == heights
+                    for height, calls in blocks:
+                        assert {rows for rows, _, _ in calls} == {2 * height}
+                        tiles = sorted((lo, hi) for _, lo, hi in calls)
+                        assert [lo for lo, _ in tiles] == [0] + [hi for _, hi in tiles[:-1]]
+                        assert tiles[-1][1] == n
+                    # one direction's float scores for a block would take
+                    # 8 * block * N bytes alone; the stacked bool mask takes a
+                    # quarter of that
+                    assert peak < 8 * block * n
+                    assert report == whole[constraint, mode]
 
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     def test_non_finite_table_raises(self, fixture50, monkeypatch, scorer):
@@ -501,3 +610,9 @@ class TestRankInvariants:
             assert report.mr >= 1.0
             assert 0.0 < report.mrr <= 1.0
             assert all(0.0 <= v <= 1.0 for v in report.hits.values())
+            # in one-column tiles, cut into 1 to 3 spans of the 6 columns
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluation, "_TILE_BYTES", 1)
+                for workers in (1, 2, 3):
+                    use_workers(patch, workers)
+                    assert link_prediction(table, store, mode, constraint, scorer) == report

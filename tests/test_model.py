@@ -302,6 +302,55 @@ class TestCandidateSweeps:
             expected = reference_score(table, 5, 2, t)
             assert abs(scores[t] - expected) < 1e-12
 
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),                                             # BLAS takes every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 6),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ({"GOTO_NUM_THREADS": "2"}, 3),
+        ({"OMP_NUM_THREADS": "1"}, 6),
+        ({"OMP_NUM_THREADS": "2,1"}, 1),                     # nested: not read
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ])
+    def test_worker_count_leaves_blas_its_threads(self, monkeypatch, env, workers):
+        for name in model._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(6)),
+                            raising=False)
+        assert model._worker_count() == workers
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 20_000])
+    def test_span_norms_equal_whole_table(self, monkeypatch, scorer, workers, n):
+        # At N = 1 and 7 every row may have a thread of its own, so 7 rows
+        # split unevenly; at 20,000 the default span size allows 3 spans (2
+        # for rotate's narrower rows).
+        if n < 10:
+            monkeypatch.setattr(model, "_SPAN_BYTES", 1)
+        monkeypatch.setattr(model, "_worker_count", lambda: workers)
+        spans = []
+        over_spans = model._over_spans
+
+        def recording(fn, units, count):
+            spans.append(count)
+            return over_spans(fn, units, count)
+
+        monkeypatch.setattr(model, "_over_spans", recording)
+        table = init_embeddings(n, 2, 16, seed=29)
+        width = 32 if scorer == "rotate" else 64
+        cols = table.entities.reshape(n, -1)[:, :width]  # rotate: strided (a, b)
+        whole = np.einsum("nc,nc->n", cols, cols)
+        cand = CandidateScorer(table, scorer)
+        np.testing.assert_array_equal(cand._row_sq.view(np.uint64), whole.view(np.uint64))
+        assert cand.max_row_sq == float(whole.max())
+        rows = max(1, model._SPAN_BYTES // (8 * width))
+        assert spans == [min(workers, -(-n // rows))]
+        table.entities[n - 1, 1, 0] = np.nan  # in the last span
+        with pytest.raises(ZeroQuaternionError):
+            CandidateScorer(table, scorer)
+
 
 class TestNonFinite:
     """A table with a NaN or an infinity must not yield scores."""
