@@ -26,6 +26,7 @@ embeddings.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import math
 import os
@@ -150,6 +151,15 @@ def _over_spans(fn, n: int, spans: int) -> list:
     return results
 
 
+def _streams(rng: np.random.Generator, rows: int, k: int) -> list[np.random.Generator]:
+    """Copies of the PCG64 generator `rng` advanced by 0, rows*k and 2*rows*k
+    64-bit draws: where the theta, rho and Gaussian draws of a one-shot draw
+    of `rows` rows start. ``Generator.uniform`` takes one 64-bit draw per
+    value, so theta and rho each span rows*k draws."""
+    return [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(offset * rows * k))
+            for offset in range(3)]
+
+
 def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill the (rows, 4, k) array `out` with the scaled polar scheme.
 
@@ -159,19 +169,24 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
     rho*sin(theta) times the direction. The coordinate magnitude is |rho|.
 
     RNG order: all of theta, then all of rho, then the (rows, 3, k) Gaussian
-    directions in C order. The directions are drawn and turned into rows one
-    chunk of rows at a time; ``standard_normal`` fills in C order, so the
-    chunks continue one stream and the table does not depend on the chunk
-    size. Beyond `out`, only theta, rho and one chunk's temporaries are held.
+    directions in C order, all from the PCG64 generator `rng`. The three are
+    read through three copies of `rng` that start at those stream offsets
+    (``_streams``), one chunk of rows at a time; each draw fills in C order,
+    so the chunks continue their streams and the table does not depend on
+    the chunk size. `rng` then continues where the Gaussian stream ended, as
+    after a one-shot draw. Beyond `out`, only one chunk's draws and
+    temporaries are held.
     """
     rows, _, k = out.shape
     bound = 1.0 / math.sqrt(2.0 * k)
-    theta = rng.uniform(-math.pi, math.pi, size=(rows, k))
-    rho = rng.uniform(-bound, bound, size=(rows, k))
+    thetas, rhos, directions = _streams(rng, rows, k)
     step = _chunk_rows(3 * k * 8)
     for lo in range(0, rows, step):
-        part = slice(lo, lo + step)
-        gauss = rng.standard_normal(size=(min(step, rows - lo), 3, k))
+        n = min(step, rows - lo)
+        part = slice(lo, lo + n)
+        theta = thetas.uniform(-math.pi, math.pi, size=(n, k))
+        rho = rhos.uniform(-bound, bound, size=(n, k))
+        gauss = directions.standard_normal(size=(n, 3, k))
         norms = np.sqrt(np.einsum("rck,rck->rk", gauss, gauss))
         degenerate = norms <= 1e-12
         if np.any(degenerate):
@@ -180,12 +195,21 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
         # Built in place: the imaginary parts are the direction times
         # rho*sin(theta), the real part rho*cos(theta).
         imag = np.divide(gauss, norms[:, None, :], out=out[part, 1:, :])
-        imag *= (rho[part] * np.sin(theta[part]))[:, None, :]
-        np.multiply(rho[part], np.cos(theta[part]), out=out[part, 0, :])
+        imag *= (rho * np.sin(theta))[:, None, :]
+        np.multiply(rho, np.cos(theta), out=out[part, 0, :])
+    # advance() dropped any buffered 32-bit half-draw, which none of the
+    # 64-bit draws above would have used, so keep the caller's.
+    rng.bit_generator.state = {**rng.bit_generator.state,
+                               "state": directions.bit_generator.state["state"]}
 
 
 def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> EmbeddingTable:
-    """Initialize a table; deterministic given seed (entities drawn first)."""
+    """Initialize a table; deterministic given seed (entities drawn first).
+
+    Both blocks come from one PCG64 stream in the order ``_draw_rows`` gives,
+    read through three stream offsets per block, so init holds the table
+    plus one chunk of draws.
+    """
     if min(n_entities, n_relations, k) < 1:
         raise ValueError("n_entities, n_relations, and k must all be >= 1")
     rng = np.random.default_rng(seed)
@@ -361,7 +385,9 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
     The bytes go to a temporary file beside `path` that then replaces it, so a
     write that fails or is killed midway leaves an earlier file at `path` as
     it was. Each component is written in row chunks through one chunk-sized
-    buffer, so the write holds no copy of a whole component.
+    buffer, so the write holds no copy of a whole component. A chunk that
+    holds a non-finite value raises ZeroQuaternionError before `path` is
+    replaced.
     """
     step = _chunk_rows(table.k * 8)
     chunk = np.empty((min(step, table.params.shape[0]), table.k), dtype="<f8")
@@ -386,6 +412,9 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
                     for lo in range(0, block.shape[0], step):
                         part = chunk[:min(step, block.shape[0] - lo)]
                         np.copyto(part, block[lo:lo + step, component, :])
+                        if not np.isfinite(part).all():
+                            raise ZeroQuaternionError(
+                                f"{path}: not written: the table holds a non-finite value")
                         handle.write(part.data)
         os.replace(temporary, path)
     except BaseException:

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import evaluation, quat
 from .data import HEAD, TAIL, TripleStore
-from .model import EmbeddingTable, init_embeddings, save_checkpoint
+from .errors import ZeroQuaternionError
+from .model import EmbeddingTable, init_embeddings, load_checkpoint, save_checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -257,8 +258,16 @@ def _forward(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray,
     neg_flat = neg.reshape(-1, 3)
     triples = np.concatenate([pos, neg_flat], out=buffers.array(
         "triples", (n_pos + neg_flat.shape[0], 3), np.int64))
-    terms = _phi_terms(table, triples, buffers)
+    # A non-finite row or a zero-magnitude relation coordinate makes phi
+    # non-finite, and a NaN margin would read as an inactive hinge; so phi
+    # is computed without floating-point warnings and checked here instead.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        terms = _phi_terms(table, triples, buffers)
     phi = terms["phi"]
+    if not np.isfinite(phi).all():
+        raise ZeroQuaternionError("non-finite distance in a training batch: a row it "
+                                  "touches is not finite or has a zero-magnitude "
+                                  "relation coordinate")
     hinge, w_pos, w_neg = _hinge_weights(phi[:n_pos], phi[n_pos:].reshape(neg.shape[:2]),
                                          config.margin, config.loss_form)
     loss = hinge + _regularizer(terms, n_pos, config.l1, config.l2)
@@ -433,12 +442,16 @@ def fit(store: TripleStore, config: TrainConfig,
     """Train with shuffled mini-batches, Adagrad, and early stopping.
 
     Validation filtered MRR is computed every `eval_every` epochs; the best
-    checkpoint is kept and training stops after `patience` evaluations without
-    improvement. With `checkpoint_path`, the table is also written there at
-    every new validation best (and at the end when validation never ran).
-    Deterministic given the config seed. Training steps run on the calling
-    thread; validation may rank on several threads, with the same report for
-    any thread count.
+    table is kept and training stops after `patience` evaluations without
+    improvement. With `checkpoint_path`, the table is written there at every
+    new validation best (and at the end when validation never ran), and the
+    best table is read back from that checkpoint at the end, which holds it
+    byte for byte; without one, a copy of the best table is kept. The
+    Adagrad accumulator is allocated untouched, so only the memory of the
+    rows that training updates becomes resident. A step whose distances are
+    not finite raises ZeroQuaternionError. Deterministic given the config
+    seed. Training steps run on the calling thread; validation may rank on
+    several threads, with the same report for any thread count.
     """
     def snapshot(current: EmbeddingTable) -> None:
         if checkpoint_path is not None:
@@ -454,13 +467,13 @@ def fit(store: TripleStore, config: TrainConfig,
         snapshot(table)
         return result
 
-    acc = np.zeros_like(table.params)
+    acc = np.zeros(table.params.shape)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     train = store.train
     n_train = train.shape[0]
     constrained = config.constraint_mode == "type_constrained"
 
-    best_table = None
+    best_table = None   # kept only without a checkpoint_path
     best_mrr = -np.inf
     evals_since_best = 0
     buffers = StepBuffers()
@@ -489,14 +502,15 @@ def fit(store: TripleStore, config: TrainConfig,
             record["val_mrr"] = report.mrr
             if report.mrr > best_mrr:
                 best_mrr = report.mrr
-                if best_table is None:
-                    best_table = table.copy()
-                else:  # one best buffer for the whole run
-                    np.copyto(best_table.params, table.params)
                 result.best_report = report
                 result.best_epoch = epoch
                 evals_since_best = 0
-                snapshot(best_table)
+                if checkpoint_path is not None:
+                    snapshot(table)
+                elif best_table is None:
+                    best_table = table.copy()
+                else:  # one best buffer for the whole run
+                    np.copyto(best_table.params, table.params)
             else:
                 evals_since_best += 1
             result.log.append(record)
@@ -507,10 +521,12 @@ def fit(store: TripleStore, config: TrainConfig,
         else:
             result.log.append(record)
 
-    if best_table is not None:
-        result.table = best_table
-    else:
-        result.table = table
+    if result.best_report is None:
         result.best_epoch = config.epochs
         snapshot(table)
+    elif checkpoint_path is not None:
+        del acc     # so that the read adds no third table
+        result.table, _ = load_checkpoint(checkpoint_path)
+    else:
+        result.table = best_table
     return result

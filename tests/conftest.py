@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,29 @@ def tiny_store():
     valid = [("b", "r1", "d")]
     test = [("a", "r1", "c")]
     return make_store(train, valid, test)
+
+
+def wide_store(n_entities, n_train=40, n_valid=5):
+    """A store of at least `n_entities` entities whose train split names only
+    the first n_train + 1: a chain e0 -> e1 -> ... over two relations. The
+    valid split links chain entities; the test split names the rest, two
+    entities per triple."""
+    train = [(f"e{i}", f"r{i % 2}", f"e{i + 1}") for i in range(n_train)]
+    valid = [(f"e{i}", "r0", f"e{i + 2}") for i in range(n_valid)]
+    test = [(f"x{i}", "r1", f"x{i + 1}") for i in range(0, n_entities - n_train - 1, 2)]
+    return make_store(train, valid, test)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc traces during `call()` above what it
+    traced before the call. tracemalloc sees numpy's data buffers."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def random_store(rng, n_entities=20, n_relations=3, n_train=30, n_valid=10,

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from quatkge import evaluation
+from quatkge import evaluation, train
 from quatkge.cli import _train_config_from_args, build_parser, main
 from quatkge.data import load_dataset
 from quatkge.model import init_embeddings, load_checkpoint, save_checkpoint
@@ -80,6 +80,18 @@ class TestTrainCommand:
                      "--k", "6", "--epochs", "4", "--eval-every", "2",
                      "--neg", "2", "--seed", "5", "--format", "keyvalue",
                      *extra])
+
+    def test_non_finite_training_exits_3_without_checkpoint(self, dataset_dir, tmp_path,
+                                                            monkeypatch, capsys):
+        store = load_dataset(*(dataset_dir / f"{s}.txt"
+                               for s in ("train", "valid", "test")))
+        broken = init_embeddings(store.n_entities, store.n_relations, 6, seed=5)
+        broken.entities[store.train[0, 0]] = np.nan
+        monkeypatch.setattr(train, "init_embeddings", lambda *args: broken)
+        out = tmp_path / "run"
+        assert self.run_train(dataset_dir, out, ["--eval-every", "0"]) == 3
+        assert "error" in capsys.readouterr().err
+        assert not list(out.glob("checkpoint.bin*"))
 
     def test_writes_checkpoint_log_and_report(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -256,8 +268,10 @@ class TestEvalCommand:
                                for s in ("train", "valid", "test")))
         broken = init_embeddings(store.n_entities, store.n_relations, 4, seed=0)
         broken.entities[5, 0, 1] = np.nan
+        # save_checkpoint refuses a non-finite table, so the file is written
+        # in the checkpoint format directly
         path = tmp_path / "nan.bin"
-        save_checkpoint(broken, path)
+        path.write_bytes(with_header(broken, json.dumps(header_of(broken)).encode()))
         code = main(["eval", "--checkpoint", str(path), *data_flags(dataset_dir)])
         assert code == 3
         assert "error" in capsys.readouterr().err

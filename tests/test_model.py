@@ -1,7 +1,6 @@
 import json
 import math
 import struct
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,8 @@ from quatkge.model import (CandidateScorer, check_table_matches_store,
                            init_embeddings, load_checkpoint, save_checkpoint,
                            score_triples)
 
-from oracles import reference_init, reference_score
+from conftest import traced_peak
+from oracles import reference_draw_rows, reference_init, reference_score
 
 
 def score(table, h, r, t, scorer="quate_d"):
@@ -71,14 +71,34 @@ class TestInit:
     def test_degenerate_direction_in_a_later_chunk(self, monkeypatch, chunk_bytes):
         monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
         row, col = 22, 3
-        params = np.empty((39, 4, 5))
-        rng = ZeroDirectionRng(3, row, col)
-        model._draw_rows(rng, params[:30])
-        model._draw_rows(rng, params[30:])
-        expected = reference_init(30, 9, 5, ZeroDirectionRng(3, row, col))
-        assert params.tobytes() == expected.tobytes()
+        # one counter over the Gaussian streams of both blocks' draws
+        zeroing = ZeroDirectionRng(None, row, col)
+        streams = model._streams
+
+        def zeroing_streams(rng, rows, k):
+            theta, rho, zeroing.rng = streams(rng, rows, k)
+            return theta, rho, zeroing
+
+        monkeypatch.setattr(model, "_streams", zeroing_streams)
+        table = init_embeddings(30, 9, 5, seed=3)
+        expected = reference_init(30, 9, 5,
+                                  ZeroDirectionRng(np.random.default_rng(3), row, col))
+        assert table.params.tobytes() == expected.tobytes()
         # the zero direction became the unit i direction
+        params = table.params
         assert np.all(params[row, 2:, col] == 0.0) and params[row, 1, col] != 0.0
+
+    @pytest.mark.parametrize("chunk_bytes", CHUNKS)
+    def test_generator_ends_where_one_shot_draw_does(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        rng, one_shot = np.random.default_rng(3), np.random.default_rng(3)
+        # a float32 draw leaves half of a 64-bit draw buffered in both
+        assert rng.random(dtype=np.float32) == one_shot.random(dtype=np.float32)
+        model._draw_rows(rng, np.empty((30, 4, 5)))
+        reference_draw_rows(one_shot, np.empty((30, 4, 5)))
+        assert rng.random(3, dtype=np.float32).tobytes() == \
+            one_shot.random(3, dtype=np.float32).tobytes()
+        assert rng.random(5).tobytes() == one_shot.random(5).tobytes()
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -86,13 +106,17 @@ class TestInit:
 
 
 class ZeroDirectionRng:
-    """A generator whose Gaussian stream, counted in (3, k) rows over all
-    ``standard_normal`` calls, has an all-zero direction at `row`, `col`,
-    however the calls split the rows."""
+    """The generator `rng` with a Gaussian stream that, counted in (3, k)
+    rows over all ``standard_normal`` calls, has an all-zero direction at
+    `row`, `col`, however the calls split the rows."""
 
-    def __init__(self, seed, row, col):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, rng, row, col):
+        self.rng = rng
         self.row, self.col, self.drawn = row, col, 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
 
     def uniform(self, *args, **kwargs):
         return self.rng.uniform(*args, **kwargs)
@@ -487,6 +511,19 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_table_keeps_previous_file(self, tmp_path, monkeypatch, value):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 4 * 8)   # four rows a chunk
+        path = tmp_path / "best.bin"
+        save_checkpoint(init_embeddings(6, 3, 4, seed=1), path)
+        before = path.read_bytes()
+        table = init_embeddings(6, 3, 4, seed=2)
+        table.relations[2, 3, 1] = value    # in the last chunk written
+        with pytest.raises(ZeroQuaternionError):
+            save_checkpoint(table, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("chunk_bytes", [8, 4 * 40, 7 * 40 + 1])
     def test_chunked_bytes_equal_whole_block_writer(self, tmp_path, monkeypatch,
                                                     chunk_bytes):
@@ -602,31 +639,21 @@ class TestMemoryBudgets:
     def table_bytes(self) -> int:
         return (self.N + self.M) * 4 * self.K * 8
 
-    @staticmethod
-    def traced_peak(call) -> int:
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
     def test_init(self):
-        # the table, theta and rho of the entity rows (half a table), and
-        # one chunk of Gaussian directions with its temporaries
-        peak = self.traced_peak(lambda: init_embeddings(self.N, self.M, self.K, seed=1))
-        assert peak <= 1.5 * self.table_bytes + 4 * model._CHUNK_BYTES
+        # the table, and one chunk of Gaussian directions with that chunk's
+        # theta, rho and temporaries
+        peak = traced_peak(lambda: init_embeddings(self.N, self.M, self.K, seed=1))
+        assert peak <= self.table_bytes + 4 * model._CHUNK_BYTES
 
     def test_save(self, tmp_path):
         table = init_embeddings(self.N, self.M, self.K, seed=1)
-        peak = self.traced_peak(lambda: save_checkpoint(table, tmp_path / "model.bin"))
+        peak = traced_peak(lambda: save_checkpoint(table, tmp_path / "model.bin"))
         assert peak <= 2 * model._CHUNK_BYTES
 
     def test_load(self, tmp_path):
         path = tmp_path / "model.bin"
         save_checkpoint(init_embeddings(self.N, self.M, self.K, seed=1), path)
-        peak = self.traced_peak(lambda: load_checkpoint(path))
+        peak = traced_peak(lambda: load_checkpoint(path))
         assert peak <= self.table_bytes + 2 * model._CHUNK_BYTES
 
 

@@ -1,6 +1,10 @@
 import logging
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatkge import evaluation, train
+import quatkge
+from quatkge import evaluation, model, train
 from quatkge.data import HEAD, TAIL
+from quatkge.errors import ZeroQuaternionError
 from quatkge.model import EmbeddingTable, init_embeddings
-from quatkge.train import (EPS_ADAGRAD, GradientBuffer, TrainConfig,
+from quatkge.train import (EPS_ADAGRAD, LOSS_FORMS, GradientBuffer, TrainConfig,
                            adagrad_step, batch_loss, fit, grad_batch,
                            sample_negatives)
 
-from conftest import make_store, random_store
+from conftest import make_store, random_store, traced_peak, wide_store
 import oracles
 
 
@@ -611,20 +617,25 @@ class TestFit:
                                              if "val_mrr" in rec)
         assert fit(store, replace(cfg, eval_every=0)).best_report is None
 
-    def test_one_best_table_buffer(self):
+    def test_one_best_table_buffer(self, tmp_path):
+        # One copy of the best table without a checkpoint; with one, none:
+        # the best table is read back from the checkpoint at the end.
         store = self.small_store(seed=22)
         cfg = TrainConfig(k=4, epochs=7, seed=5, eval_every=1, patience=10)
-        with mock.patch.object(EmbeddingTable, "copy", autospec=True,
-                               side_effect=EmbeddingTable.copy) as copy:
-            result = fit(store, cfg)
-        mrrs = [rec["val_mrr"] for rec in result.log]
-        improving = [i for i, mrr in enumerate(mrrs) if mrr > max(mrrs[:i], default=-1)]
-        assert len(improving) >= 3 and result.best_epoch < cfg.epochs
-        assert copy.call_count == 1
         # validation draws nothing from the training stream, so a run that
         # stops at the best epoch ends on the table the full run kept
-        stopped = fit(store, replace(cfg, epochs=result.best_epoch, eval_every=0))
-        assert result.table.params.tobytes() == stopped.table.params.tobytes()
+        for path, copies in ((None, 1), (tmp_path / "best.bin", 0)):
+            with mock.patch.object(EmbeddingTable, "copy", autospec=True,
+                                   side_effect=EmbeddingTable.copy) as copy:
+                result = fit(store, cfg, checkpoint_path=path)
+            mrrs = [rec["val_mrr"] for rec in result.log]
+            improving = [i for i, mrr in enumerate(mrrs)
+                         if mrr > max(mrrs[:i], default=-1)]
+            assert len(improving) >= 3 and result.best_epoch < cfg.epochs
+            assert copy.call_count == copies
+            stopped = fit(store, replace(cfg, epochs=result.best_epoch, eval_every=0))
+            assert result.table.params.tobytes() == stopped.table.params.tobytes()
+            assert result.table.seed == cfg.seed
 
     def test_loss_decreases_on_average(self):
         store = self.small_store(seed=21)
@@ -683,3 +694,99 @@ class TestFit:
         result = fit(store, cfg, checkpoint_path=path)
         table, _ = load_checkpoint(path)
         np.testing.assert_array_equal(table.entities, result.table.entities)
+
+
+class TestNonFiniteTraining:
+    """A row that is not finite, or a relation coordinate of zero magnitude,
+    stops `fit` at the first step whose batch touches it, instead of reading
+    as an inactive hinge."""
+
+    FAULTS = {
+        # entity 3's row is NaN; a triple touches it as head or tail
+        "nan_entity": (lambda table: table.entities[3].fill(np.nan),
+                       lambda triples: bool(np.any(triples[:, [0, 2]] == 3))),
+        # relation 1's coordinate 2 has zero magnitude
+        "zero_relation": (lambda table: table.relations[1, :, 2].fill(0.0),
+                          lambda triples: bool(np.any(triples[:, 1] == 1))),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("penalties", [(0.0, 0.0), (0.01, 0.02)],
+                             ids=["no_penalty", "l1_l2"])
+    @pytest.mark.parametrize("loss_form", LOSS_FORMS)
+    def test_fit_raises_at_first_touching_step(self, monkeypatch, fault, penalties,
+                                               loss_form):
+        store = random_store(np.random.default_rng(31), n_entities=15, n_train=60)
+        cfg = TrainConfig(k=4, epochs=3, seed=2, eval_every=0, l1=penalties[0],
+                          l2=penalties[1], loss_form=loss_form, neg_rate=2)
+        spoil, touches = self.FAULTS[fault]
+        table = init_embeddings(store.n_entities, store.n_relations, cfg.k, cfg.seed)
+        spoil(table)
+        touched = []
+        step = train._loss_and_grads
+
+        def recording_step(table, pos, neg, config, buffers):
+            touched.append(touches(np.concatenate([pos, neg.reshape(-1, 3)])))
+            return step(table, pos, neg, config, buffers)
+
+        monkeypatch.setattr(train, "init_embeddings", lambda *args: table)
+        monkeypatch.setattr(train, "_loss_and_grads", recording_step)
+        with pytest.raises(ZeroQuaternionError):
+            fit(store, cfg)
+        assert touched[-1] and not any(touched[:-1])
+
+
+class TestFitMemory:
+    """`fit` holds the table, the accumulator rows it trains, and no best copy
+    when it writes a checkpoint."""
+
+    def test_validated_fit_to_checkpoint_holds_two_tables(self, tmp_path):
+        # At N = 20,000 and k = 50 the table is 32 MB. tracemalloc counts the
+        # accumulator whole, resident or not; one validation pass's own
+        # scratch is measured on the initial table.
+        store = wide_store(20_000)
+        cfg = TrainConfig(k=50, epochs=2, seed=3, eval_every=1, patience=10)
+        table_bytes = (store.n_entities + store.n_relations) * 4 * cfg.k * 8
+        table = init_embeddings(store.n_entities, store.n_relations, cfg.k, cfg.seed)
+        ranking = traced_peak(lambda: evaluation.link_prediction(
+            table, store, mode="filtered", split="valid"))
+        del table
+        peak = traced_peak(lambda: fit(store, cfg, checkpoint_path=tmp_path / "best.bin"))
+        assert peak <= 2 * table_bytes + ranking + 4 * model._CHUNK_BYTES
+
+    # Run in a fresh process, so that its peak resident set is this fit's.
+    CHILD = """
+from conftest import wide_store
+from quatkge.train import TrainConfig, fit
+
+def status(field):
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) * 1024
+
+store = wide_store({n})
+before = status("VmRSS")
+fit(store, TrainConfig(k={k}, epochs=1, seed=0, eval_every=0,
+                       constraint_mode="type_constrained"))
+print(status("VmHWM") - before)
+"""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmRSS and VmHWM from /proc/self/status")
+    def test_resident_rise_is_table_and_trained_rows(self):
+        # 21,000 entities at k = 100: a 67 MB table. The train split names
+        # only the first 41 entities, and type-constrained negatives come
+        # from the train split, so the accumulator's resident pages are those
+        # of its first rows and of the relation rows at its end.
+        n, k = 21_000, 100
+        store = wide_store(n)
+        table_bytes = (store.n_entities + store.n_relations) * 4 * k * 8
+        src = Path(quatkge.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), str(Path(__file__).resolve().parent)])}
+        done = subprocess.run([sys.executable, "-c", self.CHILD.format(n=n, k=k)],
+                              env=env, capture_output=True, text=True, timeout=300,
+                              check=True)
+        rise = int(done.stdout.split()[-1])
+        assert rise < 1.5 * table_bytes
