@@ -8,17 +8,24 @@ split (other than the query itself). Type-constrained runs restrict the
 candidate set to the relation's observed head/tail entities; when that set
 excludes the gold entity it is added back and the event is counted.
 
-A block of triples is the only unit of ranking. Its B tail queries and B
+A block of triples is the only unit of ranking. Blocks are cut from the
+split sorted by relation, so that a type-constrained block draws its
+candidates from the pools of one or two relations. Its B tail queries and B
 head queries are stacked into one (2B, C) query matrix with one (2B, N) bool
-candidate mask, and the entity table is swept once, a column tile at a time:
-each tile costs one matrix product for the ranking key (``CandidateScorer``;
-lower first) and two comparisons against each gold's key g, widened by a
-band of _TIE_BAND * (|q|^2 + max |e|^2). A candidate below g - band is better;
-one inside the band is re-scored, with the gold, by ``score_triples`` and
+candidate mask, and the block's candidate columns, those that some query of
+it may rank, are swept once, a column tile at a time. When they are at most
+_GATHER_SHARE (3/4) of the table, the tiles run over their ids, so
+type-constrained ranking costs in proportion to the block's pools; a tile
+whose ids are not one contiguous run gathers their table rows first.
+Otherwise the tiles run over the whole table. Each tile costs one matrix
+product for the ranking key (``CandidateScorer``; lower first) and two
+comparisons against each gold's key g, widened by a band of
+_TIE_BAND * (|q|^2 + max |e|^2). A candidate below g - band is better; one
+inside the band is re-scored, with the gold, by ``score_triples`` and
 compared exactly. Ranks therefore follow ``score_triples`` (the direct
 difference, for the distances), not the rounding of the key's expansion, so
-they depend only on the table: not on the BLAS kernel, the block height or
-the tile width.
+they depend only on the table: not on the BLAS kernel, the block height,
+the block order, the tile width or whether a tile was gathered.
 
 The tiles of a block are cut into one contiguous span per ranking thread
 (the CPUs the process may use, divided by the threads of each BLAS product),
@@ -57,6 +64,15 @@ _TILE_BYTES = 4 * 2**20
 # Half-width of the band around a gold's key, relative to |q|^2 + max |e|^2:
 # about 10^4 times the key's rounding error at k = 100.
 _TIE_BAND = 1e-9
+# Largest share of the table's columns that a block sweeps as gathered
+# tiles of its candidate columns; a block with more sweeps every column.
+# Probed on a 40,943 x 400 table (2-vCPU VM, one thread, one OpenBLAS 0.3.31
+# thread, best of 5), keying a random column subset in gathered tiles against
+# every column in contiguous tiles: for 100 queries, 10% of the columns took
+# 7.5 against 62 ms, 60% 43 against 62 ms, 75% 53 against 63 ms and 90% 65
+# against 63 ms; for 50 and 256 queries 75% still gained (39 against 45 ms,
+# 126 against 136 ms) and 90% no longer did for 50.
+_GATHER_SHARE = 0.75
 
 
 @dataclass
@@ -90,6 +106,14 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
 
     `queries` is ``cand.queries(rows)``, `mask` the stacked (2B, N) candidate
     masks in the same order; the gold columns are cleared from `mask` here.
+    Only the candidate columns, those that some query may rank, are swept.
+    When they are at most _GATHER_SHARE of the table, the mask is compacted
+    to them and the sweep runs over tiles of their ids: a tile of one
+    contiguous run of ids is keyed on a slice of the table, any other on its
+    rows gathered into a buffer that shares the tile budget with the keys.
+    Otherwise every column is swept in contiguous tiles. A block without a
+    candidate column ranks every query first and keys nothing.
+
     The column tiles are cut into one contiguous span per worker. Each span
     counts into its own rows of `better` and `tied` with tile buffers that
     the calling thread allocates, so the ranks are sums of integer counts
@@ -98,31 +122,48 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
     count, n = mask.shape
     gold = np.concatenate([rows[:, 2], rows[:, 0]])
     mask[np.arange(count), gold] = False
+    cols = np.flatnonzero(mask.any(axis=0))
+    if cols.size == 0:
+        return np.ones(count)
+    workers = model._worker_count()
+    if cols.size <= _GATHER_SHARE * n:
+        mask = mask[:, cols]
+        width = max(1, _TILE_BYTES // (8 * (count + queries.shape[1]) * workers))
+    else:
+        cols = None
+        width = max(1, _TILE_BYTES // (8 * count * workers))
+    m = mask.shape[1]
     scaled = cand.key_scale * queries
     band = _TIE_BAND * (np.einsum("bc,bc->b", queries, queries) + cand.max_row_sq)
     gold_keys = cand.pair_keys(scaled, gold)
     low, high = (gold_keys - band)[:, None], (gold_keys + band)[:, None]
-    workers = model._worker_count()
-    width = max(1, _TILE_BYTES // (8 * count * workers))
-    tiles = -(-n // width)
+    tiles = -(-m // width)
     spans = min(workers, tiles)
     better = np.zeros((spans, count), dtype=np.int64)
     tied = np.zeros((spans, count), dtype=np.int64)
-    shape = (count, min(width, n))
+    shape = (count, min(width, m))
     buffers = [(np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
-                np.empty(count, dtype=np.int32)) for _ in range(spans)]
+                np.empty(count, dtype=np.int32),
+                None if cols is None else np.empty((shape[1], queries.shape[1])))
+               for _ in range(spans)]
 
     def sweep(span: int, first: int, last: int) -> None:
-        keys, below, near, tile_better = buffers[span]
+        keys, below, near, tile_better, gathered = buffers[span]
         gold_exact = None
-        for lo in range(first * width, min(n, last * width), width):
-            hi = min(n, lo + width)
-            cols = slice(0, hi - lo)
-            tile = cand.keys(scaled, lo, hi, out=keys[:, cols])
+        for lo in range(first * width, min(m, last * width), width):
+            hi = min(m, lo + width)
+            part = slice(0, hi - lo)
+            if cols is None:
+                tile = cand.keys(scaled, lo, hi, out=keys[:, part])
+            elif cols[hi - 1] - cols[lo] == hi - lo - 1:  # one run of ids
+                tile = cand.keys(scaled, cols[lo], cols[hi - 1] + 1, out=keys[:, part])
+            else:
+                tile = cand.gathered_keys(scaled, cols[lo:hi], gathered[part],
+                                          out=keys[:, part])
             candidates = mask[:, lo:hi]
-            tile_below = np.less(tile, low, out=below[:, cols])
+            tile_below = np.less(tile, low, out=below[:, part])
             tile_below &= candidates
-            tile_near = np.less_equal(tile, high, out=near[:, cols])
+            tile_near = np.less_equal(tile, high, out=near[:, part])
             tile_near &= candidates
             # int32 row sums count a bool block about twice as fast as
             # count_nonzero(axis=1), which sums through an intp cast
@@ -133,8 +174,9 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
                     gold_exact = np.tile(cand.exact(rows), 2)
                 tile_near ^= tile_below  # the band
                 query, entity = np.nonzero(tile_near)
-                _settle(cand, rows, query, entity + lo, gold_exact, better[span],
-                        tied[span])
+                entity += lo
+                _settle(cand, rows, query, entity if cols is None else cols[entity],
+                        gold_exact, better[span], tied[span])
 
     model._over_spans(sweep, tiles, spans)
     tied = tied.sum(axis=0) + 1  # the gold
@@ -193,9 +235,13 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
     """Rank head and tail queries for every triple of the split.
 
     Triples are ranked _BLOCK_TRIPLES at a time, each block's tail and head
-    queries in one sweep of the entity table. The ranks fill a ``(T, 2)``
-    array, tail then head per triple, so MR, MRR, Hits and per-relation MRR
-    all sum the same values in the same order.
+    queries in one sweep of the block's candidate columns. The blocks are cut
+    from the split in relation order (a stable sort), so that under type
+    constraints a block's columns are the pools of one or two relations, not
+    of all of them. Each block's ranks return to its triples' places in a
+    ``(T, 2)`` array, tail then head per triple, so MR, MRR, Hits and
+    per-relation MRR all sum the same values in the same order, whatever the
+    block height.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -207,8 +253,10 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
              if constraint else {TAIL: None, HEAD: None})
     ranks = np.empty((triples.shape[0], 2))
     reinserted = 0
+    order = np.argsort(triples[:, 1], kind="stable")
     for start in range(0, triples.shape[0], _BLOCK_TRIPLES):
-        rows = triples[start:start + _BLOCK_TRIPLES]
+        block = order[start:start + _BLOCK_TRIPLES]
+        rows = triples[block]
         masks = []
         for position in (TAIL, HEAD):
             mask, added = _candidate_mask(store, rows, position, mode, pools[position])
@@ -217,7 +265,7 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
         mask = np.concatenate(masks)
         del masks
         block_ranks = _mean_rank(cand, rows, cand.queries(rows), mask)
-        ranks[start:start + rows.shape[0]] = block_ranks.reshape(2, -1).T
+        ranks[block] = block_ranks.reshape(2, -1).T
     ranks = ranks.ravel()
     recip = 1.0 / ranks
     relations = np.repeat(triples[:, 1], 2)

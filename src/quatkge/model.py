@@ -335,6 +335,19 @@ class CandidateScorer:
             keys += self._row_sq[lo:hi]
         return keys
 
+    def gathered_keys(self, scaled: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+                      out=None) -> np.ndarray:
+        """(B, len(ids)) keys of entities `ids` for queries `scaled`; their
+        columns are first gathered into `rows`, a (len(ids), C) float64
+        buffer."""
+        # take buffers its result in its default mode, "raise"; the ids are
+        # in range, so "clip" copies straight into `rows`
+        np.take(self._cols, ids, axis=0, out=rows, mode="clip")
+        keys = np.matmul(scaled, rows.T, out=out)
+        if self.scorer != "quate_inner":
+            keys += self._row_sq[ids]
+        return keys
+
     def pair_keys(self, scaled: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """(B,) key of entity ids[i] for query i of `scaled`; it may differ
         from the same pair's ``keys`` entry in the last bits."""

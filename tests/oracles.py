@@ -187,8 +187,11 @@ def candidate_ids(store, triple, position, mode, constraint):
     return allowed
 
 
-def reference_ranks(table, store, mode, constraint=False, split="test"):
-    """(relation, rank) per query via scalar scoring and sort-based ranking."""
+def reference_ranks(table, store, mode, constraint=False, split="test",
+                    scorer="quate_d"):
+    """(relation, rank) per query via scalar scoring and sort-based ranking;
+    ``quate_inner`` ranks higher scores first."""
+    sign = -1.0 if scorer == "quate_inner" else 1.0
     out = []
     for h, r, t in store.split(split):
         h, r, t = int(h), int(r), int(t)
@@ -196,18 +199,17 @@ def reference_ranks(table, store, mode, constraint=False, split="test"):
             gold = t if position == TAIL else h
             scored = {}
             for e in candidate_ids(store, (h, r, t), position, mode, constraint):
-                if position == TAIL:
-                    scored[e] = reference_score(table, h, r, e)
-                else:
-                    scored[e] = reference_score(table, e, r, t)
+                triple = (h, r, e) if position == TAIL else (e, r, t)
+                scored[e] = sign * reference_score(table, *triple, scorer)
             out.append((r, sort_rank(scored, gold)))
     return out
 
 
-def reference_report(table, store, mode, constraint=False, split="test"):
+def reference_report(table, store, mode, constraint=False, split="test",
+                     scorer="quate_d"):
     """Aggregate metrics from the reference ranks, plus the number of golds
     outside their type pool (counted only when `constraint` is set)."""
-    pairs = reference_ranks(table, store, mode, constraint, split)
+    pairs = reference_ranks(table, store, mode, constraint, split, scorer)
     ranks = np.array([rank for _, rank in pairs])
     by_relation: dict[int, list[float]] = {}
     for relation, rank in pairs:

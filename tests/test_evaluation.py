@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -174,6 +175,38 @@ def near_tie_instance():
     return table, store
 
 
+def small_pools_instance(k=6):
+    """A 48-entity store whose relations' type pools each hold at most 5 of
+    its entities (drawn from 5 heads and 5 tails), scattered over the ids,
+    and whose test split interleaves the relations; two test golds lie
+    outside their pools."""
+    rng = np.random.default_rng(17)
+    n, relations = 48, 3
+    names = [f"e{i}" for i in range(n)]
+    pools = {r: (rng.choice(n, 5, replace=False), rng.choice(n, 5, replace=False))
+             for r in range(relations)}
+    seen = set()
+
+    def draw(r):
+        while True:
+            h, t = int(rng.choice(pools[r][0])), int(rng.choice(pools[r][1]))
+            if h != t and (h, r, t) not in seen:
+                seen.add((h, r, t))
+                return names[h], f"r{r}", names[t]
+
+    train = [(e, "pad", e) for e in names] + [draw(r) for r in range(relations)
+                                              for _ in range(6)]
+    valid = [draw(r) for r in range(relations) for _ in range(2)]
+    test = [draw(i % relations) for i in range(11)]
+    test += [(names[0], "r0", names[1]), (names[2], "r1", names[3])]
+    store = make_store(train, valid, test)
+    for position in (TAIL, HEAD):
+        sizes = store.type_pools(position).sum(axis=1)
+        assert sizes[store.relation_names.index("pad")] == n
+        assert np.sort(sizes)[:-1].max() <= n // 4
+    return store, init_embeddings(n, store.n_relations, k, seed=19)
+
+
 class TestLinkPrediction:
     def test_perfect_model(self):
         # self-loop test triples with identity relation: phi(x, r, x) = 0 and
@@ -218,6 +251,69 @@ class TestLinkPrediction:
                 assert report.hits == expected["hits"]
                 # thread ids can be reused once a span's thread has ended
                 assert (len(settled_on) >= 2) == (workers in (2, 3))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_near_tie_in_a_later_gathered_tile(self, monkeypatch, workers):
+        # Relation r's pools are 3 tails and 1 head of 40 entities, so the
+        # block of (e5, r, e37) sweeps its candidate columns 13, 21, 29 and
+        # 33 in gathered tiles of two. Every entity lies at 0 but e5 and its
+        # gold tail e37 (2e-3 apart at 1e8), the tail competitor e33 (1e-3
+        # from e5) and the head competitor e29 (1e-3 from e37): both in-band
+        # competitors sit in the second tile, and the first tile holds only
+        # far candidates, so each query ranks 2 only if the second tile's
+        # candidates map back to their own ids.
+        positions = np.zeros(40)
+        positions[[5, 37, 33, 29]] = 1e8, 1e8 + 2e-3, 1e8 + 1e-3, 1e8 + 3e-3
+        table = line_table(positions, n_relations=2)
+        names = [f"e{i}" for i in range(40)]
+        train = [(e, "pad", e) for e in names] + [("e29", "r", f"e{t}")
+                                                  for t in (13, 21, 33)]
+        store = make_store(train, [], [("e5", "r", "e37")])
+        assert store.entity_names == names
+        # a one-triple block's 2 queries and 4 key columns, two columns a worker
+        monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (2 + 4) * 2 * workers)
+        use_workers(monkeypatch, workers)
+        tiles = []
+        gathered_keys = CandidateScorer.gathered_keys
+
+        def recording(cand, scaled, ids, rows, out=None):
+            tiles.append(ids.tolist())
+            return gathered_keys(cand, scaled, ids, rows, out)
+
+        monkeypatch.setattr(CandidateScorer, "gathered_keys", recording)
+        for mode in ("raw", "filtered"):
+            tiles.clear()
+            report = link_prediction(table, store, mode=mode, constraint=True)
+            expected = oracles.reference_report(table, store, mode, constraint=True)
+            assert expected["ranks"].tolist() == [2.0, 2.0]
+            assert report.mr == expected["mr"] and report.mrr == expected["mrr"]
+            assert report.hits == expected["hits"]
+            assert report.gold_reinserted == expected["gold_reinserted"] == 2
+            assert sorted(tiles) == [[13, 21], [29, 33]]
+
+    @pytest.mark.parametrize("mode, test", [
+        # the pools of r hold b, c and a, d; valid makes c and d true
+        # competitors of the test triple's queries
+        ("filtered", [("a", "r", "b")]),
+        # the pools of r2 hold only the test triple's own golds
+        ("raw", [("x", "r2", "y")]),
+    ])
+    def test_block_without_candidate_columns(self, monkeypatch, mode, test):
+        names = [f"e{i}" for i in range(12)]
+        train = ([(e, "pad", e) for e in names]
+                 + [("a", "r", "b"), ("d", "r", "c"), ("x", "r2", "y")])
+        store = make_store(train, [("a", "r", "c"), ("d", "r", "b")], test)
+        table = init_embeddings(store.n_entities, store.n_relations, 3, seed=6)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a block without candidate columns was keyed")
+
+        monkeypatch.setattr(CandidateScorer, "keys", forbidden)
+        monkeypatch.setattr(CandidateScorer, "gathered_keys", forbidden)
+        assert rank_block(table, store, store.test, mode, True).tolist() == [1.0, 1.0]
+        report = link_prediction(table, store, mode=mode, constraint=True)
+        assert report.mr == report.mrr == 1.0
+        assert report.mr == oracles.reference_report(table, store, mode, True)["mr"]
 
     def test_oracle_equivalence_fixture50(self, fixture50):
         store, table = fixture50
@@ -391,9 +487,10 @@ class TestScoreBlocks:
         monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * 2 * triples * columns)
 
     @staticmethod
-    def assert_reference(report, table, store, mode, constraint):
+    def assert_reference(report, table, store, mode, constraint, scorer="quate_d"):
         """Assert `report` equals the reference report, and return that."""
-        expected = oracles.reference_report(table, store, mode, constraint)
+        expected = oracles.reference_report(table, store, mode, constraint,
+                                            scorer=scorer)
         assert report.mr == expected["mr"]
         assert report.mrr == expected["mrr"]
         assert report.hits == expected["hits"]
@@ -437,6 +534,78 @@ class TestScoreBlocks:
                         if constraint:
                             assert expected["gold_reinserted"] >= reinserted_at_least
 
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("triples", [1, 2, 3])
+    def test_oracle_equivalence_gathered(self, monkeypatch, triples, scorer):
+        # Type-constrained blocks of small_pools_instance sweep a few of its
+        # 48 columns in gathered tiles. A full block's budget holds 4 columns
+        # of keys and of key columns (C = 24, or 12 for rotate's (a, b)), so
+        # 1, 2 or 3 workers get tiles of 4, 2 or 1 columns (a partial block
+        # a little more), and the sweep ends in a partial tile whenever a
+        # block's columns do not divide;
+        # unconstrained blocks sweep every column in contiguous tiles. The
+        # second table, of entity components +-1 and relations +-1 (real),
+        # ties often, so in-band candidates in gathered tiles are settled;
+        # not for rotate, whose reference scores take |z| per coordinate and
+        # so break exact ties in the last bit.
+        store, table = small_pools_instance()
+        signs = EmbeddingTable(np.where(table.params < 0, -1.0, 1.0), store.n_entities, 0)
+        signs.relations[:, 1:] = 0.0
+        tables = (table,) if scorer == "rotate" else (table, signs)
+        width = (2 if scorer == "rotate" else 4) * table.k
+        monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", triples)
+        monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (2 * triples + width) * 4)
+        gathered = []
+        gathered_keys = CandidateScorer.gathered_keys
+
+        def recording(cand, scaled, ids, rows, out=None):
+            gathered.append(ids.size)
+            return gathered_keys(cand, scaled, ids, rows, out)
+
+        monkeypatch.setattr(CandidateScorer, "gathered_keys", recording)
+        for workers, table, constraint, mode in itertools.product(
+                (1, 2, 3), tables, (False, True), ("raw", "filtered")):
+            use_workers(monkeypatch, workers)
+            gathered.clear()
+            report = link_prediction(table, store, mode=mode, constraint=constraint,
+                                     scorer=scorer)
+            expected = self.assert_reference(report, table, store, mode, constraint,
+                                             scorer)
+            if constraint:
+                assert expected["gold_reinserted"] >= 2
+            # a tile of one column is one run of ids, keyed on a slice
+            assert bool(gathered) == (constraint and workers < 3)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_follow_relation_order(self, monkeypatch, workers):
+        # small_pools_instance's test split interleaves its relations; blocks
+        # of 2 triples cut the split sorted by relation, stably, and the
+        # ranks return to their triples' places, so every report is the
+        # reference's and the single block's
+        store, table = small_pools_instance()
+        relations = store.test[:, 1]
+        assert (np.diff(relations) != 0).all()
+        whole = {(constraint, mode): link_prediction(table, store, mode, constraint)
+                 for constraint in (False, True) for mode in ("raw", "filtered")}
+        self.use_blocks(monkeypatch, 2)
+        use_workers(monkeypatch, workers)
+        blocks = []
+        mean_rank = evaluation._mean_rank
+
+        def ranking(cand, rows, queries, mask):
+            blocks.append(rows[:, 1].tolist())
+            return mean_rank(cand, rows, queries, mask)
+
+        monkeypatch.setattr(evaluation, "_mean_rank", ranking)
+        for constraint in (False, True):
+            for mode in ("raw", "filtered"):
+                blocks.clear()
+                report = link_prediction(table, store, mode=mode, constraint=constraint)
+                self.assert_reference(report, table, store, mode, constraint)
+                assert report == whole[constraint, mode]
+                assert all(len(set(block)) <= 2 for block in blocks)
+                assert sum(blocks, []) == sorted(relations.tolist())
+
     @pytest.mark.parametrize("workers, columns, spans", [
         (2, 40, 1),   # one tile: ranked on the calling thread
         (3, 30, 2),   # more workers than the two tiles
@@ -444,10 +613,40 @@ class TestScoreBlocks:
         (5, 5, 5),    # five spans of one tile each
     ])
     def test_spans_of_tiles(self, fixture50, monkeypatch, workers, columns, spans):
+        # unconstrained, each block's candidate columns are all 20, so every
+        # block sweeps the whole table in contiguous tiles
         store, table = fixture50
         self.use_blocks(monkeypatch, 3, columns=columns)
+        used = self.spans_used(monkeypatch, table, store, False, workers)
+        # the scorer's row norms (20 rows: one span), then one sweep per
+        # block of 3 triples; the last, partial block's tiles are wider
+        assert used[0] == 1 and used[1] == spans
+        assert len(used) == 1 + -(-store.test.shape[0] // 3)
+
+    @pytest.mark.parametrize("workers, columns, spans", [
+        (2, 16, [1, 1, 1, 1, 1]),  # 8-column tiles: each block in one tile
+        (2, 6, [2, 2, 2, 2, 2]),   # 3-column tiles, more tiles than workers
+        (3, 9, [2, 3, 2, 3, 2]),   # 3-column tiles, some blocks with fewer
+        (5, 5, [4, 5, 5, 5, 5]),   # one-column tiles
+    ])
+    def test_spans_of_gathered_tiles(self, monkeypatch, workers, columns, spans):
+        # Type-constrained blocks of 3 triples of small_pools_instance have 4,
+        # 8, 6, 7 and 6 candidate columns. A full block's gathered tiles hold
+        # `columns` columns of keys and of key columns (C = 24) in all, so a
+        # worker's are columns // workers wide; the last block, of one
+        # triple, gets (6 + 24) / (2 + 24) times as many.
+        store, table = small_pools_instance()
+        monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", 3)
+        monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (2 * 3 + 24) * columns)
+        used = self.spans_used(monkeypatch, table, store, True, workers)
+        assert used == [1] + spans
+
+    def spans_used(self, monkeypatch, table, store, constraint, workers):
+        """The span count of each `_over_spans` call of a filtered ranking on
+        `workers` workers, after checking its report against one worker's
+        and the reference."""
         use_workers(monkeypatch, 1)
-        alone = link_prediction(table, store, constraint=True)
+        alone = link_prediction(table, store, constraint=constraint)
         used = []
         over_spans = model._over_spans
 
@@ -460,15 +659,12 @@ class TestScoreBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            report = link_prediction(table, store, constraint=True)
+            report = link_prediction(table, store, constraint=constraint)
         finally:
             sys.setswitchinterval(interval)
         assert report == alone
-        self.assert_reference(report, table, store, "filtered", True)
-        # the scorer's row norms (20 rows: one span), then one sweep per
-        # block of 3 triples; the last, partial block's tiles are wider
-        assert used[0] == 1 and used[1] == spans
-        assert len(used) == 1 + -(-store.test.shape[0] // 3)
+        self.assert_reference(report, table, store, "filtered", constraint)
+        return used
 
     @pytest.mark.parametrize("on_worker", [True, False])
     def test_span_error_propagates(self, monkeypatch, on_worker):
@@ -490,8 +686,9 @@ class TestScoreBlocks:
 
     def test_one_sweep_per_block(self, monkeypatch):
         """A block's tail and head queries share one key product per column
-        tile, the tiles cover every column once, and no (rows, N) float
-        array is allocated."""
+        tile, the tiles cover each of the block's candidate columns once
+        (every column when unconstrained, in contiguous tiles), and no
+        (rows, N) float array is allocated."""
         rng = np.random.default_rng(8)
         n, block = 20_000, 16
         names = [f"e{i}" for i in range(n)]
@@ -504,21 +701,40 @@ class TestScoreBlocks:
                  for constraint in (False, True) for mode in ("raw", "filtered")}
         self.use_blocks(monkeypatch, block, columns=1_400)
         blocks = []
-        keys, mean_rank = CandidateScorer.keys, evaluation._mean_rank
+        keys, gathered_keys = CandidateScorer.keys, CandidateScorer.gathered_keys
+        mean_rank = evaluation._mean_rank
 
         def ranking(cand, rows, queries, mask):
-            blocks.append((rows.shape[0], []))
-            return mean_rank(cand, rows, queries, mask)
+            calls = []
+            blocks.append((rows.shape[0], calls))
+            ranks = mean_rank(cand, rows, queries, mask)
+            # the gold columns are cleared now, so these are the columns
+            # that some query of the block ranks
+            live = np.flatnonzero(mask.any(axis=0))
+            assert {count for count, _ in calls} == {2 * rows.shape[0]}
+            ids = [np.arange(*tile) if isinstance(tile, tuple) else tile
+                   for _, tile in calls]
+            np.testing.assert_array_equal(np.sort(np.concatenate(ids)), live)
+            if live.size > 3 * n // 4:
+                assert all(isinstance(tile, tuple) for _, tile in calls)
+            sizes.append(live.size)
+            return ranks
 
+        # spans may interleave their calls
         def recording(cand, scaled, lo, hi, out=None):
-            blocks[-1][1].append((scaled.shape[0], lo, hi))  # spans may interleave
+            blocks[-1][1].append((scaled.shape[0], (lo, hi)))
             return keys(cand, scaled, lo, hi, out)
+
+        def gathering(cand, scaled, ids, rows, out=None):
+            blocks[-1][1].append((scaled.shape[0], ids.copy()))
+            return gathered_keys(cand, scaled, ids, rows, out)
 
         def forbidden(*args):
             raise AssertionError("ranking swept one direction on its own")
 
         monkeypatch.setattr(evaluation, "_mean_rank", ranking)
         monkeypatch.setattr(CandidateScorer, "keys", recording)
+        monkeypatch.setattr(CandidateScorer, "gathered_keys", gathering)
         monkeypatch.setattr(CandidateScorer, "all_tails", forbidden)
         monkeypatch.setattr(CandidateScorer, "all_heads", forbidden)
         heights = [min(block, store.test.shape[0] - start)
@@ -531,6 +747,7 @@ class TestScoreBlocks:
             for constraint in (False, True):
                 for mode in ("raw", "filtered"):
                     blocks.clear()
+                    sizes = []
                     tracemalloc.start()
                     try:
                         report = link_prediction(table, store, mode=mode,
@@ -539,11 +756,11 @@ class TestScoreBlocks:
                     finally:
                         tracemalloc.stop()
                     assert [height for height, _ in blocks] == heights
-                    for height, calls in blocks:
-                        assert {rows for rows, _, _ in calls} == {2 * height}
-                        tiles = sorted((lo, hi) for _, lo, hi in calls)
-                        assert [lo for lo, _ in tiles] == [0] + [hi for _, hi in tiles[:-1]]
-                        assert tiles[-1][1] == n
+                    # relation r's pools hold at most 40 entities each, so
+                    # with its 2 * 16 golds a block ranks at most 112 of the
+                    # 20,000 columns; unconstrained, it ranks every column
+                    assert all(size <= 112 if constraint else size == n
+                               for size in sizes)
                     # one direction's float scores for a block would take
                     # 8 * block * N bytes alone; the stacked bool mask takes a
                     # quarter of that
@@ -559,11 +776,14 @@ class TestScoreBlocks:
             link_prediction(table, store, mode="filtered", scorer=scorer)
 
 
-def tied_instance(n_entities=6, n_relations=2, k=2):
+def tied_instance(n_entities=6, n_relations=2, k=2, pooled=False):
     """Strategy for (table, store) pairs whose scores tie often.
 
     Entity components are drawn from {-1, 0, 1} and relation components from
-    {-1, 1}, so many candidates sit at exactly the same distance.
+    {-1, 1}, so many candidates sit at exactly the same distance. With
+    `pooled`, every entity is padded with a relation of its own, ``pad``,
+    and train holds at most n_entities // 4 other triples, so the type pools
+    of the ranked relations hold at most a quarter of the entities.
     """
     triple = st.tuples(st.integers(0, n_entities - 1),
                        st.integers(0, n_relations - 1),
@@ -576,17 +796,21 @@ def tied_instance(n_entities=6, n_relations=2, k=2):
     def build(args):
         train, test, ent, rel = args
         raw = lambda triples: [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples]
-        # every entity and relation appears in train, so ids match table rows
-        pad = [(f"e{i}", f"r{i % n_relations}", f"e{i}") for i in range(n_entities)]
+        # every entity appears in train, so ids match table rows
+        pad = [(f"e{i}", "pad" if pooled else f"r{i % n_relations}", f"e{i}")
+               for i in range(n_entities)]
         store = make_store(pad + raw(train), [], raw(test))
         order_e = [store.entity_names.index(f"e{i}") for i in range(n_entities)]
-        order_r = [store.relation_names.index(f"r{i}") for i in range(n_relations)]
-        table = EmbeddingTable(np.empty((n_entities + n_relations, 4, k)), n_entities, 0)
+        table = EmbeddingTable(np.ones((n_entities + store.n_relations, 4, k)),
+                               n_entities, 0)
         table.entities[order_e] = ent
-        table.relations[order_r] = rel
+        for row, name in enumerate(store.relation_names):
+            if name != "pad":
+                table.relations[row] = rel[int(name[1:])]
         return table, store
 
-    return st.tuples(st.lists(triple, max_size=8), st.lists(triple, min_size=1, max_size=4),
+    train = st.lists(triple, max_size=n_entities // 4 if pooled else 8)
+    return st.tuples(train, st.lists(triple, min_size=1, max_size=4),
                      entities, relations).map(build)
 
 
@@ -596,7 +820,16 @@ class TestRankInvariants:
            scorer=st.sampled_from(["quate_d", "rotate", "quate_inner"]),
            constraint=st.booleans())
     def test_ranks_bounded_and_filter_never_hurts(self, instance, scorer, constraint):
-        table, store = instance
+        self.check_invariants(*instance, scorer, constraint)
+
+    @settings(max_examples=30, deadline=None)
+    @given(instance=tied_instance(n_entities=16, pooled=True),
+           scorer=st.sampled_from(["quate_d", "rotate", "quate_inner"]))
+    def test_invariants_in_small_pools(self, instance, scorer):
+        self.check_invariants(*instance, scorer, True)
+
+    @staticmethod
+    def check_invariants(table, store, scorer, constraint):
         for triple in store.test:
             h, r, t = (int(x) for x in triple)
             for position in (TAIL, HEAD):
@@ -610,9 +843,14 @@ class TestRankInvariants:
             assert report.mr >= 1.0
             assert 0.0 < report.mrr <= 1.0
             assert all(0.0 <= v <= 1.0 for v in report.hits.values())
-            # in one-column tiles, cut into 1 to 3 spans of the 6 columns
+            # in one-column tiles, cut into 1 to 3 spans of the swept
+            # columns, then in a budget of 3 columns of keys and key columns
+            # (at most 8 queries and C = 8 columns) per tile: at one worker,
+            # gathered tiles of 3 or more columns
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(evaluation, "_TILE_BYTES", 1)
-                for workers in (1, 2, 3):
-                    use_workers(patch, workers)
-                    assert link_prediction(table, store, mode, constraint, scorer) == report
+                for tile_bytes in (1, 8 * (8 + 8) * 3):
+                    patch.setattr(evaluation, "_TILE_BYTES", tile_bytes)
+                    for workers in (1, 2, 3):
+                        use_workers(patch, workers)
+                        assert (link_prediction(table, store, mode, constraint, scorer)
+                                == report)

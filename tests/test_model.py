@@ -293,6 +293,12 @@ class TestCandidateSweeps:
         keys = np.concatenate([sweeps.keys(scaled, lo, min(11, lo + 4))
                                for lo in range(0, 11, 4)], axis=1)
         np.testing.assert_array_equal(keys, sweeps.keys(scaled, 0, 11))
+        # gathered columns, including rotate's strided (a, b) ones
+        ids = np.array([1, 4, 5, 9])
+        gathered = np.full((ids.size, queries.shape[1]), np.nan)
+        np.testing.assert_allclose(sweeps.gathered_keys(scaled, ids, gathered),
+                                   keys[:, ids], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(gathered, sweeps._cols[ids])
         if scorer == "quate_inner":
             scores = -keys
         else:
