@@ -8,9 +8,7 @@ split (other than the query itself). Type-constrained runs restrict the
 candidate set to the relation's observed head/tail entities; when that set
 excludes the gold entity it is added back and the event is counted.
 
-A block of triples is the only unit of ranking. Blocks are cut from the
-split sorted by relation, so that a type-constrained block draws its
-candidates from the pools of one or two relations. Its B tail queries and B
+A block of triples is the only unit of ranking. Its B tail queries and B
 head queries are stacked into one (2B, C) query matrix with one (2B, N) bool
 candidate mask, and the block's candidate columns, those that some query of
 it may rank, are swept once, a column tile at a time. When they are at most
@@ -25,7 +23,7 @@ inside the band is re-scored, with the gold, by ``score_triples`` and
 compared exactly. Ranks therefore follow ``score_triples`` (the direct
 difference, for the distances), not the rounding of the key's expansion, so
 they depend only on the table: not on the BLAS kernel, the block height,
-the block order, the tile width or whether a tile was gathered.
+the tile width or whether a tile was gathered.
 
 The tiles of a block are cut into one contiguous span per ranking thread
 (the CPUs the process may use, divided by the threads of each BLAS product),
@@ -106,13 +104,14 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
 
     `queries` is ``cand.queries(rows)``, `mask` the stacked (2B, N) candidate
     masks in the same order; the gold columns are cleared from `mask` here.
-    Only the candidate columns, those that some query may rank, are swept.
-    When they are at most _GATHER_SHARE of the table, the mask is compacted
-    to them and the sweep runs over tiles of their ids: a tile of one
-    contiguous run of ids is keyed on a slice of the table, any other on its
-    rows gathered into a buffer that shares the tile budget with the keys.
-    Otherwise every column is swept in contiguous tiles. A block without a
-    candidate column ranks every query first and keys nothing.
+    The sweep runs over tiles of column ids `cols`. When the candidate
+    columns, those that some query may rank, are at most _GATHER_SHARE of
+    the table, `cols` holds just them and the mask is compacted to them;
+    otherwise `cols` holds every column and the mask stays whole. A tile
+    whose ids are one contiguous run is keyed on a slice of the table, any
+    other on its rows gathered into a buffer that shares the tile budget
+    with the keys. A block without a candidate column ranks every query
+    first and keys nothing.
 
     The column tiles are cut into one contiguous span per worker. Each span
     counts into its own rows of `better` and `tied` with tile buffers that
@@ -126,11 +125,12 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
     if cols.size == 0:
         return np.ones(count)
     workers = model._worker_count()
-    if cols.size <= _GATHER_SHARE * n:
+    compact = cols.size <= _GATHER_SHARE * n
+    if compact:
         mask = mask[:, cols]
         width = max(1, _TILE_BYTES // (8 * (count + queries.shape[1]) * workers))
     else:
-        cols = None
+        cols = np.arange(n)
         width = max(1, _TILE_BYTES // (8 * count * workers))
     m = mask.shape[1]
     scaled = cand.key_scale * queries
@@ -142,9 +142,11 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
     better = np.zeros((spans, count), dtype=np.int64)
     tied = np.zeros((spans, count), dtype=np.int64)
     shape = (count, min(width, m))
+    # every tile of the whole table is one run of ids, so only a compacted
+    # sweep gathers rows
     buffers = [(np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool),
                 np.empty(count, dtype=np.int32),
-                None if cols is None else np.empty((shape[1], queries.shape[1])))
+                np.empty((shape[1], queries.shape[1])) if compact else None)
                for _ in range(spans)]
 
     def sweep(span: int, first: int, last: int) -> None:
@@ -153,13 +155,11 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
         for lo in range(first * width, min(m, last * width), width):
             hi = min(m, lo + width)
             part = slice(0, hi - lo)
-            if cols is None:
-                tile = cand.keys(scaled, lo, hi, out=keys[:, part])
-            elif cols[hi - 1] - cols[lo] == hi - lo - 1:  # one run of ids
-                tile = cand.keys(scaled, cols[lo], cols[hi - 1] + 1, out=keys[:, part])
+            ids = cols[lo:hi]
+            if ids[-1] - ids[0] == hi - lo - 1:  # one run of ids
+                tile = cand.keys(scaled, ids[0], ids[-1] + 1, out=keys[:, part])
             else:
-                tile = cand.gathered_keys(scaled, cols[lo:hi], gathered[part],
-                                          out=keys[:, part])
+                tile = cand.gathered_keys(scaled, ids, gathered[part], out=keys[:, part])
             candidates = mask[:, lo:hi]
             tile_below = np.less(tile, low, out=below[:, part])
             tile_below &= candidates
@@ -174,9 +174,8 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
                     gold_exact = np.tile(cand.exact(rows), 2)
                 tile_near ^= tile_below  # the band
                 query, entity = np.nonzero(tile_near)
-                entity += lo
-                _settle(cand, rows, query, entity if cols is None else cols[entity],
-                        gold_exact, better[span], tied[span])
+                _settle(cand, rows, query, ids[entity], gold_exact, better[span],
+                        tied[span])
 
     model._over_spans(sweep, tiles, spans)
     tied = tied.sum(axis=0) + 1  # the gold
@@ -235,13 +234,9 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
     """Rank head and tail queries for every triple of the split.
 
     Triples are ranked _BLOCK_TRIPLES at a time, each block's tail and head
-    queries in one sweep of the block's candidate columns. The blocks are cut
-    from the split in relation order (a stable sort), so that under type
-    constraints a block's columns are the pools of one or two relations, not
-    of all of them. Each block's ranks return to its triples' places in a
+    queries in one sweep of the block's candidate columns. The ranks fill a
     ``(T, 2)`` array, tail then head per triple, so MR, MRR, Hits and
-    per-relation MRR all sum the same values in the same order, whatever the
-    block height.
+    per-relation MRR all sum the same values in the same order.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -253,10 +248,8 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
              if constraint else {TAIL: None, HEAD: None})
     ranks = np.empty((triples.shape[0], 2))
     reinserted = 0
-    order = np.argsort(triples[:, 1], kind="stable")
     for start in range(0, triples.shape[0], _BLOCK_TRIPLES):
-        block = order[start:start + _BLOCK_TRIPLES]
-        rows = triples[block]
+        rows = triples[start:start + _BLOCK_TRIPLES]
         masks = []
         for position in (TAIL, HEAD):
             mask, added = _candidate_mask(store, rows, position, mode, pools[position])
@@ -265,7 +258,7 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
         mask = np.concatenate(masks)
         del masks
         block_ranks = _mean_rank(cand, rows, cand.queries(rows), mask)
-        ranks[block] = block_ranks.reshape(2, -1).T
+        ranks[start:start + rows.shape[0]] = block_ranks.reshape(2, -1).T
     ranks = ranks.ravel()
     recip = 1.0 / ranks
     relations = np.repeat(triples[:, 1], 2)
