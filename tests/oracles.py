@@ -2,8 +2,8 @@
 
 Everything here deliberately takes the slow road: scores from the scalar
 ``Quaternion`` class below (numpy complex128 for ``rotate``), sort-based
-ranks, linear scans of the splits, exhaustive threshold scans, and the
-one-shot table draw. The only names taken from the package are the ``data``
+ranks, linear scans of the splits, a line-by-line file reader, exhaustive
+threshold scans, and the one-shot table draw. The only names taken from the package are the ``data``
 position constants, so none of it shares code with the vectorized production
 paths it verifies.
 """
@@ -125,7 +125,8 @@ def reference_score(table, h, r, t, scorer="quate_d") -> float:
         head, rel, tail = (np.asarray(row[0] + 1j * row[1], dtype=np.complex128)
                            for row in (table.entities[h], table.relations[r],
                                        table.entities[t]))
-        return float(np.sqrt(np.sum(np.abs(head * (rel / np.abs(rel)) - tail) ** 2)))
+        diff = head * (rel / np.abs(rel)) - tail
+        return float(np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2)))
     total = 0.0
     for x, w, y in zip(_coordinates(table.entities[h]),
                        _coordinates(table.relations[r]),
@@ -133,6 +134,51 @@ def reference_score(table, h, r, t, scorer="quate_d") -> float:
         rotated = x * w.normalize()
         total += rotated.dot(y) if scorer == "quate_inner" else (rotated - y).norm_sq()
     return total if scorer == "quate_inner" else math.sqrt(total)
+
+
+class ReferenceParseError(ValueError):
+    """A split file line that `reference_load` rejects."""
+
+    def __init__(self, path, line_no: int):
+        super().__init__(f"{path}:{line_no}")
+        self.path, self.line_no = path, line_no
+
+
+def reference_load(paths):
+    """``(entity_names, relation_names, splits)`` of three split files.
+
+    A line loop with dicts: each line (``bytes.splitlines`` ends lines at
+    ``\\n``, ``\\r\\n`` and ``\\r``) is decoded on its own and split at tabs,
+    and each new name takes the next id, head before tail. `splits` holds
+    each file's name triples and id triples. Raises ReferenceParseError at the
+    first line, blank lines counted, that is not UTF-8 or is neither blank
+    nor three fields.
+    """
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    splits = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
+        names, ids = [], []
+        for line_no, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ReferenceParseError(path, line_no) from None
+            if line == "":
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ReferenceParseError(path, line_no)
+            h, r, t = fields
+            for name, vocabulary in ((h, entity_ids), (r, relation_ids), (t, entity_ids)):
+                if name not in vocabulary:
+                    vocabulary[name] = len(vocabulary)
+            names.append((h, r, t))
+            ids.append((entity_ids[h], relation_ids[r], entity_ids[t]))
+        splits.append((names, ids))
+    return list(entity_ids), list(relation_ids), splits
 
 
 def sort_rank(scored: dict[int, float], gold: int) -> float:

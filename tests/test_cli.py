@@ -244,6 +244,14 @@ class TestEvalCommand:
         assert float(doc["mrr"]) == report.mrr
         assert float(doc["mr"]) == report.mr
 
+    def test_undecodable_bytes_are_data_error(self, dataset_dir, trained, capsys):
+        train = dataset_dir / "train.txt"
+        lines = train.read_bytes().splitlines(keepends=True)
+        train.write_bytes(b"".join(lines[:2]) + b"caf\xe9\tr\tx\n" + b"".join(lines[2:]))
+        code = main(["eval", "--checkpoint", str(trained), *data_flags(dataset_dir)])
+        assert code == 2
+        assert f"{train}:3: byte 0xe9 is not valid UTF-8" in capsys.readouterr().err
+
     def test_shape_mismatch_is_data_error(self, dataset_dir, tmp_path, capsys):
         bad = init_embeddings(7, 2, 4, seed=0)
         path = tmp_path / "bad.bin"

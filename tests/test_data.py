@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatkge.data import HEAD, TAIL, load_dataset, load_split
+from quatkge.data import HEAD, TAIL, build_store, load_dataset, load_split
 from quatkge.errors import ParseError
 
 from conftest import make_store, random_store
@@ -44,6 +46,120 @@ class TestLoadSplit:
         with pytest.raises(OSError):
             load_split(tmp_path / "nope.txt")
 
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_line_endings_and_no_final_newline(self, tmp_path, ending):
+        path = tmp_path / "endings.txt"
+        path.write_bytes(ending.join([b"a\tr\tb", b"", b"c\tr\td"]))
+        assert load_split(path) == [("a", "r", "b"), ("c", "r", "d")]
+
+    def test_malformed_line_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a\tr\tb\r\n\r\n\n\rx\ty\n")
+        with pytest.raises(ParseError) as err:
+            load_split(path)
+        assert err.value.line_no == 5
+
+    def test_undecodable_byte_reports_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"a\tr\tb\n\n\ncaf\xe9\tr\tb\nx\ty\n")
+        with pytest.raises(ParseError) as err:
+            load_split(path)
+        assert err.value.line_no == 4
+        assert "0xe9" in str(err.value)
+
+    def test_split_is_read_only_sequence(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_text("cat\thypernym\tanimal\n\ndog\thypernym\tanimal\n")
+        split = load_split(path)
+        assert len(split) == 2
+        assert split[1] == ("dog", "hypernym", "animal")
+        assert split[-1] == split[1] and split[:1] == [split[0]]
+        assert list(split) == [split[0], split[1]]
+        with pytest.raises(TypeError):
+            split[0] = ("a", "r", "b")
+
+
+# Names that stress the byte keys: empty, non-ASCII, NUL bytes (where zero
+# padding could confuse "a" with "a\0"), and names of 8 or more bytes that
+# share an 8-byte prefix. Random text adds bytes such as \x0b, \x1c and
+# \u2028, which other readers take for line breaks.
+SPECIAL_NAMES = ["", "a", "a\0", "\0", "ab\0cd", "é", "日本語", "abcdefgh",
+                 "abcdefgh\0", "abcdefghX", "abcdefghY", "abcdefghijklmnopq",
+                 "abcdefghijklmnopr", "abcdefghijklmnopqrstuvwxyz"]
+names = st.one_of(st.sampled_from(SPECIAL_NAMES),
+                  st.text(st.characters(blacklist_characters="\t\n\r",
+                                        blacklist_categories=("Cs",)), max_size=10))
+line = st.one_of(st.just(""), st.tuples(names, names, names).map("\t".join))
+
+
+@st.composite
+def split_files(draw, lines=line):
+    """Three split files' bytes: random lines, each ending in \\n, \\r\\n or
+    \\r, maybe without a final line ending. The splits draw on one pool of
+    names, so names recur within and across splits."""
+    pool = draw(st.lists(names, min_size=1, max_size=8))
+    pooled = st.tuples(*[st.sampled_from(pool)] * 3).map("\t".join)
+    files = []
+    for _ in range(3):
+        body = draw(st.lists(st.one_of(lines, pooled), max_size=12))
+        endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                min_size=len(body), max_size=len(body)))
+        text = "".join(a + b for a, b in zip(body, endings))
+        if body and draw(st.booleans()):
+            text = text[:-len(endings[-1])]
+        # "\udcXX" is written as the single byte 0xXX, which is not UTF-8
+        files.append(text.encode("utf-8", "surrogateescape"))
+    return files
+
+
+def write_splits(directory, files):
+    paths = [directory / f"{name}.txt" for name in ("train", "valid", "test")]
+    for path, content in zip(paths, files):
+        path.write_bytes(content)
+    return paths
+
+
+class TestLoaderAgainstLineLoop:
+    """``load_split`` and ``load_dataset`` against ``oracles.reference_load``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(files=split_files())
+    def test_store_matches_reference(self, tmp_path_factory, files):
+        paths = write_splits(tmp_path_factory.mktemp("splits"), files)
+        entity_names, relation_names, splits = oracles.reference_load(paths)
+        store = load_dataset(*paths)
+        assert store.entity_names == entity_names
+        assert store.relation_names == relation_names
+        for (raw, ids), path, array in zip(splits, paths, (store.train, store.valid,
+                                                            store.test)):
+            split = load_split(path)
+            assert split == raw and [split[i] for i in range(len(split))] == raw
+            assert array.dtype == np.int64 and array.flags.c_contiguous
+            assert array.shape == (len(ids), 3) and array.tolist() == [list(t) for t in ids]
+        from_lists = build_store(*(raw for raw, _ in splits))
+        assert from_lists.entity_names == entity_names
+        for name in ("train", "valid", "test", "tail_keys", "head_keys",
+                     "type_head_keys", "type_tail_keys"):
+            np.testing.assert_array_equal(getattr(from_lists, name), getattr(store, name))
+
+    @settings(max_examples=150, deadline=None)
+    @given(files=split_files(st.one_of(
+               line,
+               st.lists(names, min_size=1, max_size=5).filter(lambda f: len(f) != 3)
+               .map("\t".join),
+               st.tuples(names, st.sampled_from(["\udce9", "\udcff\udcfe", "\udcc3"]),
+                         names).map("\t".join))))
+    def test_rejected_line_matches_reference(self, tmp_path_factory, files):
+        paths = write_splits(tmp_path_factory.mktemp("splits"), files)
+        try:
+            oracles.reference_load(paths)
+        except oracles.ReferenceParseError as expected:
+            with pytest.raises(ParseError) as err:
+                load_dataset(*paths)
+            assert (err.value.path, err.value.line_no) == (expected.path, expected.line_no)
+        else:
+            load_dataset(*paths)
+
 
 class TestBuildStore:
     def test_minimal_graph(self):
@@ -73,6 +189,11 @@ class TestBuildStore:
                     tiny_store.entity_names[t]) for h, r, t in tiny_store.train.tolist()]
         assert decoded == [("a", "r1", "b"), ("b", "r1", "c"), ("c", "r2", "d"),
                            ("d", "r2", "e"), ("a", "r2", "c")]
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "b\n"])
+    def test_names_with_delimiters_rejected(self, name):
+        with pytest.raises(ValueError):
+            make_store([("a", "r", "b"), (name, "r", "a")])
 
     def test_eval_only_entities_get_ids(self):
         store = make_store([("a", "r", "b")], [], [("a", "r", "zzz")])

@@ -545,13 +545,11 @@ class TestScoreBlocks:
         # block's columns do not divide;
         # unconstrained blocks sweep every column in contiguous tiles. The
         # second table, of entity components +-1 and relations +-1 (real),
-        # ties often, so in-band candidates in gathered tiles are settled;
-        # not for rotate, whose reference scores take |z| per coordinate and
-        # so break exact ties in the last bit.
+        # ties often, so in-band candidates in gathered tiles are settled.
         store, table = small_pools_instance()
         signs = EmbeddingTable(np.where(table.params < 0, -1.0, 1.0), store.n_entities, 0)
         signs.relations[:, 1:] = 0.0
-        tables = (table,) if scorer == "rotate" else (table, signs)
+        tables = (table, signs)
         width = (2 if scorer == "rotate" else 4) * table.k
         monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", triples)
         monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (2 * triples + width) * 4)
