@@ -31,6 +31,15 @@ and each span is swept on a thread of its own into its own integer counts,
 which are added up once every span has ended; the thread count therefore
 does not move a rank either. The spans share one _TILE_BYTES budget for
 their tile buffers.
+
+Before the first block, ``CandidateScorer`` computes |e|^2, max |e|^2 and the
+non-finite check over every entity row, except under type constraints when
+the rows the split can read, the pools of its relations plus its own heads
+and tails, are at most _GATHER_SHARE of the table: then over those rows
+alone. Every block's candidate columns and golds lie in them and every
+block is compacted, so no key reads a row that was not normed, and the band
+taken from their maximum covers every key's rounding. Relation rows are
+always checked.
 """
 
 from __future__ import annotations
@@ -228,6 +237,25 @@ def _candidate_mask(store: TripleStore, rows: np.ndarray, position: str, mode: s
     return mask, reinserted
 
 
+def _readable_rows(triples: np.ndarray, pools: dict) -> np.ndarray | None:
+    """Sorted ids of the entity rows that type-constrained ranking of
+    `triples` reads: the tail and head pools of their relations and their
+    own heads and tails. None when those are more than _GATHER_SHARE of the
+    table; every row is then normed, as unconstrained ranking norms it.
+
+    Each block's candidate columns and golds lie in these rows, so when the
+    rows are at most _GATHER_SHARE of the table, every block is compacted
+    and keys only them.
+    """
+    used = np.zeros(pools[TAIL].shape[0], dtype=bool)
+    used[triples[:, 1]] = True
+    readable = pools[TAIL][used].any(axis=0) | pools[HEAD][used].any(axis=0)
+    readable[triples[:, 0]] = True
+    readable[triples[:, 2]] = True
+    ids = np.flatnonzero(readable)
+    return ids if ids.size <= _GATHER_SHARE * readable.size else None
+
+
 def link_prediction(table: EmbeddingTable, store: TripleStore,
                     mode: str = "filtered", constraint: bool = False,
                     scorer: str = "quate_d", split: str = "test") -> RankingReport:
@@ -243,9 +271,9 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise ValueError(f"split {split!r} is empty")
-    cand = CandidateScorer(table, scorer)
     pools = ({position: store.type_pools(position) for position in (TAIL, HEAD)}
              if constraint else {TAIL: None, HEAD: None})
+    cand = CandidateScorer(table, scorer, _readable_rows(triples, pools) if constraint else None)
     ranks = np.empty((triples.shape[0], 2))
     reinserted = 0
     for start in range(0, triples.shape[0], _BLOCK_TRIPLES):

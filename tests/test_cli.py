@@ -7,7 +7,7 @@ import pytest
 
 from quatkge import evaluation, train
 from quatkge.cli import _train_config_from_args, build_parser, main
-from quatkge.data import load_dataset
+from quatkge.data import HEAD, TAIL, load_dataset
 from quatkge.model import init_embeddings, load_checkpoint, save_checkpoint
 from quatkge.synthetic import planted_graph
 from quatkge.train import TrainConfig
@@ -34,6 +34,26 @@ def read_keyvalue(path):
         key, value = line.split("=", 1)
         out[key] = value
     return out
+
+
+def write_dataset(directory, train, valid, test):
+    """Write three triple files into `directory`; return their flags."""
+    directory.mkdir()
+    for split, rows in (("train", train), ("valid", valid), ("test", test)):
+        (directory / f"{split}.txt").write_text("".join("\t".join(row) + "\n"
+                                                        for row in rows))
+    return data_flags(directory)
+
+
+def nan_checkpoint(flags, path, entity):
+    """A k = 4 checkpoint for the dataset of `flags` whose row of `entity` is
+    NaN, written in the checkpoint format directly (``save_checkpoint``
+    refuses a non-finite table)."""
+    store = load_dataset(*flags[1::2])
+    table = init_embeddings(store.n_entities, store.n_relations, 4, seed=0)
+    table.entities[store.entity_names.index(entity), 0, 0] = np.nan
+    path.write_bytes(with_header(table, json.dumps(header_of(table)).encode()))
+    return store
 
 
 class TestStats:
@@ -307,6 +327,25 @@ class TestEvalCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_nan_row_outside_every_pool_is_numeric_error(self, tmp_path, capsys):
+        # The test split's relation r has pools e0, e2, e4 and e1, e3, e5, so
+        # type-constrained ranking reads 6 of 20 rows; e10 occurs only in a
+        # self-loop of relation pad, which the split does not rank.
+        names = [f"e{i}" for i in range(20)]
+        flags = write_dataset(
+            tmp_path / "data",
+            [(e, "pad", e) for e in names] + [("e0", "r", "e1"), ("e2", "r", "e3"),
+                                              ("e4", "r", "e5")],
+            [("e0", "r", "e3")], [("e2", "r", "e1"), ("e4", "r", "e3")])
+        path = tmp_path / "nan.bin"
+        store = nan_checkpoint(flags, path, "e10")
+        pools = {position: store.type_pools(position) for position in (TAIL, HEAD)}
+        readable = evaluation._readable_rows(store.test, pools)
+        assert [store.entity_names[e] for e in readable] == names[:6]
+        code = main(["eval", "--checkpoint", str(path), *flags, "--type-constraints", "on"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_report_written(self, dataset_dir, trained, tmp_path):
@@ -318,6 +357,22 @@ class TestClassifyCommand:
         doc = read_keyvalue(out / "classification.keyvalue")
         assert 0.0 <= float(doc["accuracy"]) <= 1.0
         assert doc["seed"] == "3"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nan_row_is_numeric_error_at_every_seed(self, tmp_path, capsys, seed):
+        # x occurs in one training triple only, so whether a seeded negative
+        # draws it varies with the seed; the checkpoint is refused at load
+        names = [f"e{i}" for i in range(21)]
+        flags = write_dataset(
+            tmp_path / "data",
+            [(names[i], f"r{i % 2}", names[i + 1]) for i in range(20)] + [("e3", "r0", "x")],
+            [(names[i], f"r{i % 2}", names[i + 2]) for i in range(0, 8, 2)],
+            [(names[i], f"r{i % 2}", names[i + 3]) for i in range(1, 9, 2)])
+        path = tmp_path / "nan.bin"
+        nan_checkpoint(flags, path, "x")
+        code = main(["classify", "--checkpoint", str(path), *flags, "--seed", str(seed)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestPropertiesCommand:

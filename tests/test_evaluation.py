@@ -744,6 +744,152 @@ class TestScoreBlocks:
             link_prediction(table, store, mode="filtered", scorer=scorer)
 
 
+class TestNormedRows:
+    """Type-constrained ranking norms and checks only the entity rows its
+    split can read, when they are at most _GATHER_SHARE of the table."""
+
+    @staticmethod
+    def pooled(store):
+        """Entities in the tail or head pools of the test split's relations."""
+        rows = set()
+        for position in (TAIL, HEAD):
+            pools = store.type_pools(position)
+            for relation in set(store.test[:, 1].tolist()):
+                rows |= set(np.flatnonzero(pools[relation]).tolist())
+        return rows
+
+    @staticmethod
+    def sources(store):
+        """The test split's heads and tails."""
+        return set(store.test[:, 0].tolist()) | set(store.test[:, 2].tolist())
+
+    @classmethod
+    def readable(cls, store):
+        return sorted(cls.pooled(store) | cls.sources(store))
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Record each scorer that ranking builds, and check that every
+        column its keys, gathered keys and pair keys read is normed."""
+        scorers = []
+        init = CandidateScorer.__init__
+        keys, gathered_keys = CandidateScorer.keys, CandidateScorer.gathered_keys
+        pair_keys = CandidateScorer.pair_keys
+
+        def building(cand, *args, **kwargs):
+            init(cand, *args, **kwargs)
+            scorers.append(cand)
+
+        def read(cand, ids):
+            assert np.isin(ids, cand.normed).all()
+
+        def keying(cand, scaled, lo, hi, out=None):
+            read(cand, np.arange(lo, hi))
+            return keys(cand, scaled, lo, hi, out)
+
+        def gathering(cand, scaled, ids, rows, out=None):
+            read(cand, ids)
+            return gathered_keys(cand, scaled, ids, rows, out)
+
+        def pairing(cand, scaled, ids):
+            read(cand, ids)
+            return pair_keys(cand, scaled, ids)
+
+        monkeypatch.setattr(CandidateScorer, "__init__", building)
+        monkeypatch.setattr(CandidateScorer, "keys", keying)
+        monkeypatch.setattr(CandidateScorer, "gathered_keys", gathering)
+        monkeypatch.setattr(CandidateScorer, "pair_keys", pairing)
+        return scorers
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_keys_read_only_normed_rows(self, monkeypatch, workers, scorer):
+        # blocks of 3 triples in tiles of a few columns, as in
+        # TestScoreBlocks::test_oracle_equivalence_gathered; one-row norm
+        # spans and one-row chunks, so the 23 normed rows of 48 split into
+        # up to 3 spans that gather their rows a row at a time
+        store, table = small_pools_instance()
+        width = (2 if scorer == "rotate" else 4) * table.k
+        monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", 3)
+        monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (6 + width) * 4)
+        monkeypatch.setattr(model, "_SPAN_BYTES", 1)
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 1)
+        use_workers(monkeypatch, workers)
+        scorers = self.recording(monkeypatch)
+        readable = self.readable(store)
+        assert len(readable) == 23
+        cols = table.entities.reshape(store.n_entities, -1)[:, :width]
+        whole = np.einsum("nc,nc->n", cols, cols)
+        for mode in ("raw", "filtered"):
+            scorers.clear()
+            report = link_prediction(table, store, mode=mode, constraint=True,
+                                     scorer=scorer)
+            TestScoreBlocks.assert_reference(report, table, store, mode, True, scorer)
+            (cand,) = scorers
+            assert cand.normed.tolist() == readable
+            np.testing.assert_array_equal(cand._row_sq[readable].view(np.uint64),
+                                          whole[readable].view(np.uint64))
+            assert cand.max_row_sq == whole[readable].max()
+            assert np.isnan(np.delete(cand._row_sq, readable)).all()
+            # unconstrained ranking norms every row
+            scorers.clear()
+            link_prediction(table, store, mode=mode, scorer=scorer)
+            np.testing.assert_array_equal(scorers[0]._row_sq.view(np.uint64),
+                                          whole.view(np.uint64))
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_outside_the_set(self, scorer, bad):
+        store, table = small_pools_instance()
+        outside = sorted(set(range(store.n_entities)) - set(self.readable(store)))
+        finite = {mode: link_prediction(table, store, mode=mode, constraint=True,
+                                        scorer=scorer)
+                  for mode in ("raw", "filtered")}
+        table.entities[outside[len(outside) // 2], 0, 1] = bad
+        for mode in ("raw", "filtered"):
+            assert link_prediction(table, store, mode=mode, constraint=True,
+                                   scorer=scorer) == finite[mode]
+        with pytest.raises(ZeroQuaternionError):
+            link_prediction(table, store, mode="raw", scorer=scorer)
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("where", ["pooled", "source", "relation"])
+    def test_non_finite_readable_row_raises(self, scorer, where):
+        store, table = small_pools_instance()
+        pooled, sources = self.pooled(store), self.sources(store)
+        if where == "pooled":  # no head or tail of the split
+            table.entities[min(pooled - sources), 1, 0] = np.nan
+        elif where == "source":  # in no pool of the split's relations
+            table.entities[min(sources - pooled), 0, 0] = np.nan
+        else:
+            table.relations[int(store.test[0, 1]), 0, 0] = np.nan
+        for mode in ("raw", "filtered"):
+            with pytest.raises(ZeroQuaternionError):
+                link_prediction(table, store, mode=mode, constraint=True, scorer=scorer)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_unseen_relation_norms_every_row(self, monkeypatch, workers):
+        # a test relation unseen in training falls back to every entity as
+        # its pools, so the split can read the whole table
+        store, table = small_pools_instance()
+        names = lambda arr: [(store.entity_names[h], store.relation_names[r],
+                              store.entity_names[t]) for h, r, t in arr.tolist()]
+        unseen = make_store(names(store.train), names(store.valid),
+                            names(store.test) + [("e5", "unseen", "e6")])
+        assert unseen.entity_names == store.entity_names
+        table = init_embeddings(unseen.n_entities, unseen.n_relations, table.k, seed=19)
+        monkeypatch.setattr(model, "_SPAN_BYTES", 1)
+        use_workers(monkeypatch, workers)
+        scorers = self.recording(monkeypatch)
+        assert self.readable(unseen) == list(range(unseen.n_entities))
+        for mode in ("raw", "filtered"):
+            scorers.clear()
+            report = link_prediction(table, unseen, mode=mode, constraint=True)
+            TestScoreBlocks.assert_reference(report, table, unseen, mode, True)
+            assert scorers[0].normed.tolist() == list(range(unseen.n_entities))
+            assert not np.isnan(scorers[0]._row_sq).any()
+
+
 def tied_instance(n_entities=6, n_relations=2, k=2, pooled=False):
     """Strategy for (table, store) pairs whose scores tie often.
 

@@ -381,6 +381,41 @@ class TestCandidateSweeps:
         with pytest.raises(ZeroQuaternionError):
             CandidateScorer(table, scorer)
 
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("span_rows, chunk_rows", [(1, 1), (6, 4), (100, 100)])
+    def test_normed_rows(self, monkeypatch, scorer, workers, span_rows, chunk_rows):
+        # 17 of 60 rows, normed in spans of `span_rows` rows and gathered in
+        # chunks of `chunk_rows` rows; in spans of 6 rows on 3 workers, the
+        # second span holds the run 40-45, normed in place
+        width = 32 if scorer == "rotate" else 64
+        monkeypatch.setattr(model, "_SPAN_BYTES", 8 * width * span_rows)
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 8 * width * chunk_rows)
+        monkeypatch.setattr(model, "_worker_count", lambda: workers)
+        spans = []
+        over_spans = model._over_spans
+
+        def recording(fn, units, count):
+            spans.append(count)
+            return over_spans(fn, units, count)
+
+        monkeypatch.setattr(model, "_over_spans", recording)
+        table = init_embeddings(60, 2, 16, seed=30)
+        normed = np.array([0, 3, 4, 9, 17, 18, 40, 41, 42, 43, 44, 45, 52, 53, 56, 58, 59])
+        cols = table.entities.reshape(60, -1)[:, :width]
+        whole = np.einsum("nc,nc->n", cols, cols)
+        cand = CandidateScorer(table, scorer, normed)
+        np.testing.assert_array_equal(cand._row_sq[normed].view(np.uint64),
+                                      whole[normed].view(np.uint64))
+        assert np.isnan(np.delete(cand._row_sq, normed)).all()
+        assert cand.max_row_sq == float(whole[normed].max())
+        assert spans == [min(workers, -(-normed.size // span_rows))]
+        table.entities[1, 2, 0] = table.entities[50, 0, 0] = np.nan  # not normed
+        CandidateScorer(table, scorer, normed)
+        table.entities[59, 0, 0] = np.inf  # in the last span
+        with pytest.raises(ZeroQuaternionError):
+            CandidateScorer(table, scorer, normed)
+
 
 class TestNonFinite:
     """A table with a NaN or an infinity must not yield scores."""
@@ -529,6 +564,22 @@ class TestCheckpoint:
             save_checkpoint(table, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_non_finite_chunk_refused_at_load(self, tmp_path, monkeypatch, value, where):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 4 * 8)   # four rows a chunk
+        table = init_embeddings(6, 3, 4, seed=2)
+        if where == "first":
+            table.entities[0, 0, 0] = value   # the first chunk read
+        else:
+            table.relations[2, 3, 3] = value  # the last chunk read
+        # save_checkpoint refuses a non-finite table, so the file is written
+        # in the checkpoint format directly
+        path = tmp_path / "bad.bin"
+        path.write_bytes(with_header(table, json.dumps(header_of(table)).encode()))
+        with pytest.raises(ZeroQuaternionError, match="non-finite"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("chunk_bytes", [8, 4 * 40, 7 * 40 + 1])
     def test_chunked_bytes_equal_whole_block_writer(self, tmp_path, monkeypatch,
@@ -683,14 +734,21 @@ def checkpoint_bytes(n, m, k, seed) -> bytes:
 
 
 def load_or_reject(tmp_path_factory, raw: bytes) -> None:
-    """Loading arbitrary bytes gives a consistent table or CheckpointError."""
+    """Loading arbitrary bytes gives a consistent table or CheckpointError,
+    or ZeroQuaternionError for a payload that is not finite."""
     path = tmp_path_factory.mktemp("fuzz") / "ck.bin"
     path.write_bytes(raw)
     try:
         table, meta = load_checkpoint(path)
     except CheckpointError:
         return
+    except ZeroQuaternionError:
+        # only a payload of the declared size that holds a non-finite value
+        header_len = struct.unpack("<I", raw[8:12])[0]
+        assert not np.isfinite(np.frombuffer(raw[12 + header_len:], dtype="<f8")).all()
+        return
     assert table.entities.shape == (meta["n_entities"], 4, meta["k"])
+    assert np.isfinite(table.params).all()
     assert table.relations.shape == (meta["n_relations"], 4, meta["k"])
     assert table.k == meta["k"] and table.seed == meta["seed"]
 
