@@ -145,17 +145,26 @@ def build_parser() -> _Parser:
 
 
 def _load_config_file(path) -> list[str]:
-    """Turn a key=value file into an argv fragment (file order preserved)."""
+    """Turn a key=value file into an argv fragment (file order preserved).
+
+    Raises ParseError naming the first line that holds bytes that are not
+    UTF-8 or is neither blank, a comment nor key=value.
+    """
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(path, line_no, "expected key=value")
-            key, value = stripped.split("=", 1)
-            tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            stripped = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as err:
+            raise ParseError(path, line_no,
+                             f"byte 0x{raw[err.start]:02x} is not valid UTF-8") from None
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(path, line_no, "expected key=value")
+        key, value = stripped.split("=", 1)
+        tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
     return tokens
 
 

@@ -11,11 +11,16 @@ A split is read in bulk, without a Python object per line or field:
 ``load_split`` reads the file's bytes once, and numpy finds the tabs and
 newlines. A ``RawSplit`` keeps the bytes and each field's ``[start, end)``
 byte offsets, and builds name strings only when it is read. ``build_store``
-joins the three splits' bytes and keys every field on its exact bytes: the
-field's length, then its bytes as little-endian 8-byte words, zero past the
-field's end (``ceil(longest / 8)`` words per field). One ``lexsort`` of those
-keys puts equal fields next to each other; neighbours that differ in any word
+joins the three splits' bytes and keys every field on its exact bytes: its
+bytes as little-endian 8-byte words, zero past the field's end
+(``ceil(longest / 8)`` words per field), plus its length when some split holds
+a NUL byte. Without one, a field's last byte is not zero, so the zero padding
+keeps names of different lengths apart. One sort of those keys puts equal
+fields next to each other: ``argsort`` when that leaves one key, as for
+WN18RR's 8-digit ids, else ``lexsort``. Neighbours that differ in any key
 start a new name, so two fields share an id only when their bytes are equal.
+Neither sort needs to be stable: a name's first appearance is the smallest
+field index in its group.
 
 Both indices are sorted arrays of unique int64 keys, one key per distinct true
 triple, for N entities and M relations:
@@ -88,6 +93,11 @@ def _delimit(data: bytes):
     Returns ``(starts, ends, malformed)``: the ``(T, 3)`` field offsets of the
     non-blank lines, and ``(line number, field count)`` of the first non-blank
     line without three fields, or None (then the offsets are None too).
+
+    The offsets are copied out even when no line is blank. Returning the
+    first arrays instead saved about 2.5 ms per 3.3 MB file, but raised the
+    peak RSS of repeated WN18RR-size loads by 2-3 MB: where an array sits in
+    the heap matters here as in `_id_rows`.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero((buf == _TAB) | (buf == _NEWLINE))  # the byte after each field
@@ -269,34 +279,43 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def _vocabulary(windows: np.ndarray, starts: np.ndarray,
-                lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vocabulary(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                has_nul: bool) -> tuple[np.ndarray, np.ndarray]:
     """Ids by first appearance for the fields ``[starts, starts + lengths)``.
 
     `windows` holds the 8-byte window at each byte of the buffer, which has at
-    least 8 zero bytes past the longest field. Returns each field's id, and
-    the field of each id's first appearance. Two fields share an id only when
-    their bytes are equal.
+    least 8 zero bytes past the longest field. A field is keyed on its bytes
+    as ``ceil(longest / 8)`` words, zero past its end. Only when the buffer
+    holds a NUL byte (`has_nul`) is its length keyed too: otherwise a field's
+    last byte is not zero, so zero padding alone keeps names of different
+    lengths apart. One key is sorted with ``argsort``, several with
+    ``lexsort``; neither order needs to be stable, since each group's first
+    appearance is its smallest field index.
+
+    Returns each field's id, and the field of each id's first appearance.
+    Two fields share an id only when their bytes are equal.
     """
     keys = []
     for offset in range(0, int(lengths.max(initial=1)), 8):
         word = windows[starts + offset].view("<u8")[:, 0]
         word &= _LOW_BYTES[np.clip(lengths - offset, 0, 8)]
         keys.append(word)
-    keys.append(lengths)
-    order = np.lexsort(keys)            # stable, so a name's first field leads
+    if has_nul:
+        keys.append(lengths)
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
     for key in keys:
         column = key[order]
         new[1:] |= column[1:] != column[:-1]
     del keys, column                    # before the ids, see _id_rows
-    first = order[new]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_appearance = np.argsort(first)
     id_of_group = np.empty_like(first)
-    id_of_group[np.argsort(first)] = np.arange(first.size)
+    id_of_group[by_appearance] = np.arange(first.size)
     ids = np.empty_like(order)
     ids[order] = id_of_group[np.cumsum(new) - 1]
-    return ids, np.sort(first)
+    return ids, first[by_appearance]
 
 
 def _id_rows(splits: list[RawSplit]) -> tuple[np.ndarray, list[str], list[str]]:
@@ -318,10 +337,12 @@ def _id_rows(splits: list[RawSplit]) -> tuple[np.ndarray, list[str], list[str]]:
     buf = np.frombuffer(b"".join([split.data for split in splits] + [padding]),
                         dtype=np.uint8)
     windows = np.lib.stride_tricks.sliding_window_view(buf, 8)
+    has_nul = any(b"\0" in split.data for split in splits)
     # Entity fields in first-appearance order: line by line, head then tail.
     entity_ids, entity_first = _vocabulary(windows, starts[:, ::2].ravel(),
-                                           lengths[:, ::2].ravel())
-    relation_ids, relation_first = _vocabulary(windows, starts[:, 1], lengths[:, 1])
+                                           lengths[:, ::2].ravel(), has_nul)
+    relation_ids, relation_first = _vocabulary(windows, starts[:, 1], lengths[:, 1],
+                                               has_nul)
     entity_first = np.divmod(entity_first, 2)
     entity_names = _decode_fields(buf, starts[:, ::2][entity_first], ends[:, ::2][entity_first])
     relation_names = _decode_fields(buf, starts[relation_first, 1], ends[relation_first, 1])

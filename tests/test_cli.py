@@ -230,6 +230,16 @@ class TestTrainCommand:
         table, _ = load_checkpoint(out / "checkpoint.bin")
         assert table.k == 6   # flag beats config file
 
+    @pytest.mark.parametrize("body, message", [
+        (b"k = 4\n# caf\xc3\xa9\nepochs = \xff2\n", "3: byte 0xff is not valid UTF-8"),
+        (b"k = 4\r\n\r\nepochs 2\r\n", "3: expected key=value"),
+    ], ids=["not-utf8", "no-equals"])
+    def test_bad_config_line_is_data_error(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(body)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+
 
 @pytest.fixture
 def trained(dataset_dir, tmp_path):

@@ -210,6 +210,41 @@ class TestBuildStore:
         assert stats == {"entities": 5, "relations": 2, "triples": 7,
                          "train": 5, "valid": 1, "test": 1}
 
+    @pytest.mark.parametrize("nul_name", [None, "ab\0"], ids=["no-nul", "nul"])
+    def test_first_appearance_among_many_repeats(self, tmp_path, nul_name):
+        # 8,000 lines of 48 names of 0-8 bytes: without a NUL byte every name
+        # is one sort key, so the vocabulary sorts with an unstable argsort,
+        # which reorders the thousands of equal keys of each name.
+        rng = np.random.default_rng(21)
+        pool = ([f"n{i}" for i in range(24)] + [f"e{i:07d}" for i in range(16)]
+                + ["", "a", "ab", "abcdefgh", "abcdefgg", "hgfedcba", "日本", "x"])
+        lines = [tuple(pool[i] for i in row)
+                 for row in rng.integers(len(pool), size=(8_000, 3)).tolist()]
+        splits = [lines[:6_000], lines[6_000:7_000], lines[7_000:]]
+        if nul_name is not None:
+            splits[2][500] = (nul_name, "ab", nul_name)
+
+        entity_ids, relation_ids = {}, {}
+        expected = []
+        for split in splits:
+            for h, r, t in split:
+                for name, vocabulary in ((h, entity_ids), (r, relation_ids),
+                                         (t, entity_ids)):
+                    vocabulary.setdefault(name, len(vocabulary))
+            expected.append([[entity_ids[h], relation_ids[r], entity_ids[t]]
+                             for h, r, t in split])
+
+        paths = write_splits(tmp_path, ["".join("\t".join(line) + "\n" for line in split)
+                                        .encode() for split in splits])
+        reference = oracles.reference_load(paths)
+        assert reference[:2] == (list(entity_ids), list(relation_ids))
+        for store in (build_store(*splits), load_dataset(*paths)):
+            assert store.entity_names == list(entity_ids)
+            assert store.relation_names == list(relation_ids)
+            for array, ids, (_, reference_ids) in zip(
+                    (store.train, store.valid, store.test), expected, reference[2]):
+                assert array.tolist() == ids == [list(t) for t in reference_ids]
+
 
 class TestIsTrue:
     def test_membership_across_splits(self, tiny_store):
