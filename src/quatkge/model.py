@@ -50,9 +50,10 @@ _CHUNK_BYTES = 2**20
 # Two ranking threads that each ran a two-thread OpenBLAS product ranked
 # about 10% slower than one (N = 40,943, k = 100, 2-vCPU VM).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# Fewest table bytes the row-norm pass of ``CandidateScorer`` gives a thread
-# of its own: about 0.25 ms of einsum against about 0.1 ms to start and join
-# a thread (2-vCPU VM).
+# Fewest table bytes the row-norm pass of ``CandidateScorer`` and
+# ``load_checkpoint`` give a thread of its own: about 0.25 ms of einsum, or
+# about 3 ms of reading, against about 0.1 ms to start and join a thread
+# (2-vCPU VM).
 _SPAN_BYTES = 2**22
 
 
@@ -92,19 +93,24 @@ def _chunk_rows(row_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // row_bytes)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set, which ``taskset``
+    narrows, where the platform reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
+
+
 def _worker_count() -> int:
-    """Ranking threads: the CPUs this process may run on (its affinity set,
-    which ``taskset`` narrows, where the platform reports one), divided by
-    the threads each BLAS product runs on.
+    """Ranking threads: ``_cpu_count()`` divided by the threads each BLAS
+    product runs on.
 
     BLAS libraries take every CPU unless one of _BLAS_THREAD_VARS limits
     them when they load, so an unlimited BLAS leaves one ranking thread and
     a one-thread BLAS one per CPU.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on macOS or Windows
-        cpus = os.cpu_count() or 1
+    cpus = _cpu_count()
     for name in _BLAS_THREAD_VARS:
         value = os.environ.get(name, "")
         if value.isdigit() and int(value) > 0:
@@ -119,9 +125,10 @@ def _over_spans(fn, n: int, spans: int) -> list:
 
     Span 0 runs on the calling thread and every other span on a thread of
     its own, so one span starts no thread. numpy releases the interpreter
-    lock in the products, ufuncs and einsums the spans run, so the threads
-    overlap. The call returns once every thread has ended; if a span
-    raised, the exception of the first such span is raised then.
+    lock in the products, ufuncs, einsums and copies the spans run, and a
+    file object in its reads, so the threads overlap. The call returns once
+    every thread has ended; if a span raised, the exception of the first
+    such span is raised then.
     """
     if spans == 1:
         return [fn(0, 0, n)]
@@ -472,21 +479,50 @@ def _header_int(meta: dict, key: str, minimum: int, path) -> int:
     return value
 
 
-def _read_block(handle, block: np.ndarray, path) -> None:
-    """Read four (rows, k) component blocks into the (rows, 4, k) `block`,
-    in row chunks through one reused chunk buffer; a chunk that holds a
-    non-finite value raises ZeroQuaternionError before it is copied."""
-    rows, _, k = block.shape
-    step = _chunk_rows(k * 8)
-    chunk = np.empty((min(step, rows), k), dtype="<f8")
-    for c in range(4):
-        for lo in range(0, rows, step):
-            part = chunk[:min(step, rows - lo)]
-            if handle.readinto(part) != part.nbytes:
-                raise CheckpointError(f"{path}: payload ended before its declared size")
-            if not np.isfinite(part).all():
-                raise ZeroQuaternionError(f"{path}: the table holds a non-finite value")
-            block[lo:lo + step, c, :] = part
+def _read_rows(handle, path, table: EmbeddingTable, payload: int) -> None:
+    """Fill ``table.params`` from the checkpoint payload that starts at byte
+    `payload` of the open file `handle`, read from `path`.
+
+    The payload is read as the table's N + M rows, cut into spans by
+    ``_over_spans``, so a span can cross from the entity block into the
+    relation block. Span 0 reads through `handle`; every other span opens
+    `path`, which must still be the file `handle` reads, or CheckpointError
+    is raised. Each span reads a chunk of rows at a time: the rows of each
+    component into a (4, rows, k) buffer, its share of one ``_CHUNK_BYTES``
+    chunk, whose rows then go into the table in one contiguous write. A short
+    read raises CheckpointError, and a chunk that holds a non-finite value
+    ZeroQuaternionError before it is copied.
+    """
+    rows, _, k = table.params.shape
+    row_bytes = 4 * k * 8
+    spans = min(_cpu_count(), rows, -(-rows * row_bytes // _SPAN_BYTES))
+    step = min(_chunk_rows(spans * row_bytes), -(-rows // spans))
+    # allocated on the calling thread, as the norm pass's buffers are
+    buffers = [np.empty((4, step, k), dtype="<f8") for _ in range(spans)]
+    opened = os.fstat(handle.fileno())
+    # (first row, rows) of the entity block and of the relation block
+    blocks = ((0, table.n_entities), (table.n_entities, table.n_relations))
+
+    def read(span: int, lo: int, hi: int) -> None:
+        buffer = buffers[span]
+        with contextlib.nullcontext(handle) if span == 0 else open(path, "rb") as source:
+            if not os.path.samestat(os.fstat(source.fileno()), opened):
+                raise CheckpointError(f"{path}: the file was replaced while it was read")
+            for first, count in blocks:
+                end = min(hi, first + count)
+                for start in range(max(lo, first), end, step):
+                    part = buffer[:, :min(step, end - start)]
+                    for c in range(4):
+                        source.seek(payload + first * row_bytes
+                                    + (c * count + start - first) * k * 8)
+                        if source.readinto(part[c]) != part[c].nbytes:
+                            raise CheckpointError(
+                                f"{path}: payload ended before its declared size")
+                    if not np.isfinite(part).all():
+                        raise ZeroQuaternionError(f"{path}: the table holds a non-finite value")
+                    table.params[start:start + part.shape[1]] = part.transpose(1, 0, 2)
+
+    _over_spans(read, rows, spans)
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
@@ -494,8 +530,11 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
     non-finite value ZeroQuaternionError, as ``save_checkpoint`` refuses to
     write one.
 
-    The table is read in chunks of rows into one preallocated array, so peak
-    memory is the table plus one chunk.
+    The table is read into one preallocated array in spans of rows, one per
+    CPU the process may use (``taskset`` narrows them) and at most one per
+    ``_SPAN_BYTES`` of payload, each on a thread of its own. The spans read
+    a chunk of rows at a time and share one chunk of scratch, so peak memory
+    is the table plus one chunk. The table is the same for any span count.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(12)
@@ -524,8 +563,7 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
             raise CheckpointError(
                 f"{path}: payload is {payload} bytes, expected {expected}")
         table = EmbeddingTable(np.empty((n + m, 4, k)), n, seed)
-        _read_block(handle, table.entities, path)
-        _read_block(handle, table.relations, path)
+        _read_rows(handle, path, table, 12 + header_len)
     return table, meta
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import struct
+import threading
 from unittest import mock
 
 import numpy as np
@@ -360,14 +362,7 @@ class TestCandidateSweeps:
         if n < 10:
             monkeypatch.setattr(model, "_SPAN_BYTES", 1)
         monkeypatch.setattr(model, "_worker_count", lambda: workers)
-        spans = []
-        over_spans = model._over_spans
-
-        def recording(fn, units, count):
-            spans.append(count)
-            return over_spans(fn, units, count)
-
-        monkeypatch.setattr(model, "_over_spans", recording)
+        spans = record_spans(monkeypatch)
         table = init_embeddings(n, 2, 16, seed=29)
         width = 32 if scorer == "rotate" else 64
         cols = table.entities.reshape(n, -1)[:, :width]  # rotate: strided (a, b)
@@ -392,14 +387,7 @@ class TestCandidateSweeps:
         monkeypatch.setattr(model, "_SPAN_BYTES", 8 * width * span_rows)
         monkeypatch.setattr(model, "_CHUNK_BYTES", 8 * width * chunk_rows)
         monkeypatch.setattr(model, "_worker_count", lambda: workers)
-        spans = []
-        over_spans = model._over_spans
-
-        def recording(fn, units, count):
-            spans.append(count)
-            return over_spans(fn, units, count)
-
-        monkeypatch.setattr(model, "_over_spans", recording)
+        spans = record_spans(monkeypatch)
         table = init_embeddings(60, 2, 16, seed=30)
         normed = np.array([0, 3, 4, 9, 17, 18, 40, 41, 42, 43, 44, 45, 52, 53, 56, 58, 59])
         cols = table.entities.reshape(60, -1)[:, :width]
@@ -600,34 +588,85 @@ class TestCheckpoint:
         monkeypatch.setattr(model, "_CHUNK_BYTES", 4 * 40)
         path = tmp_path / "model.bin"
         save_checkpoint(init_embeddings(30, 9, 5, seed=4), path)
-
-        class ShrinkingFile:
-            """Reads normally until the third chunk, which gets half its bytes."""
-
-            def __init__(self, handle):
-                self.handle, self.reads = handle, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.handle.close()
-
-            def __getattr__(self, name):
-                return getattr(self.handle, name)
-
-            def readinto(self, buffer):
-                self.reads += 1
-                view = memoryview(buffer).cast("B")
-                if self.reads == 3:
-                    view = view[:len(view) // 2]
-                return self.handle.readinto(view)
-
         real_open = open
         with mock.patch("quatkge.model.open", create=True,
-                        side_effect=lambda *a, **kw: ShrinkingFile(real_open(*a, **kw))):
+                        side_effect=lambda *a, **kw: ShrinkingFile(real_open(*a, **kw), 3)):
             with pytest.raises(CheckpointError, match="ended before"):
                 load_checkpoint(path)
+
+    # k = 5: 160 bytes per table row, and with _SPAN_BYTES at one row the CPU
+    # count sets the spans. The 39 rows split at row 19 into 2 spans and at
+    # rows 13 and 26 into 3, so the entity/relation boundary at row 30 lies
+    # inside the last span. Each span's share of the chunk is `chunk_rows`
+    # rows, which leaves remainder chunks on both sides of the boundary.
+    @pytest.mark.parametrize("chunk_rows", [1, 4, 7])
+    @pytest.mark.parametrize("spans", [1, 2, 3])
+    def test_spans_equal_whole_block_writer(self, tmp_path, monkeypatch, spans, chunk_rows):
+        monkeypatch.setattr(model, "_SPAN_BYTES", 160)
+        monkeypatch.setattr(model, "_CHUNK_BYTES", spans * 160 * chunk_rows + 1)
+        monkeypatch.setattr(model, "_cpu_count", lambda: spans)
+        counts = record_spans(monkeypatch)
+        # a seed per case, so that rows a span failed to read cannot hold a
+        # freed copy of the same table
+        table = init_embeddings(30, 9, 5, seed=10 * spans + chunk_rows)
+        header = json.dumps(header_of(table)).encode()
+        path = tmp_path / "model.bin"
+        path.write_bytes(with_header(table, header))
+        loaded, _ = load_checkpoint(path)
+        assert counts == [spans]
+        assert with_header(loaded, header) == path.read_bytes()
+
+    @pytest.fixture
+    def three_spans(self, monkeypatch):
+        """Loads cut the 39 rows of a k = 5 table into 3 spans of 13 rows,
+        read 4 rows a chunk."""
+        monkeypatch.setattr(model, "_SPAN_BYTES", 160)
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 3 * 160 * 4)
+        monkeypatch.setattr(model, "_cpu_count", lambda: 3)
+        return record_spans(monkeypatch)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_in_last_span(self, tmp_path, three_spans, value):
+        table = init_embeddings(30, 9, 5, seed=4)
+        table.relations[8, 2, 4] = value   # row 38: the last span's last chunk
+        path = tmp_path / "bad.bin"
+        path.write_bytes(with_header(table, json.dumps(header_of(table)).encode()))
+        with pytest.raises(ZeroQuaternionError, match="non-finite"):
+            load_checkpoint(path)
+        assert three_spans == [3] and not span_threads()
+
+    def test_short_read_in_later_span(self, tmp_path, three_spans):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_embeddings(30, 9, 5, seed=4), path)
+        real_open = open
+        handles = []
+
+        def opening(*args, **kwargs):
+            handles.append(real_open(*args, **kwargs))
+            # the first handle, span 0's, reads whole; the spans that open
+            # the file again get half the bytes of their first read
+            return handles[-1] if len(handles) == 1 else ShrinkingFile(handles[-1], 1)
+
+        with mock.patch("quatkge.model.open", create=True, side_effect=opening):
+            with pytest.raises(CheckpointError, match="ended before"):
+                load_checkpoint(path)
+        assert len(handles) == 3 and all(handle.closed for handle in handles)
+        assert three_spans == [3] and not span_threads()
+
+    def test_file_replaced_before_a_span_opens(self, tmp_path, monkeypatch, three_spans):
+        path, other = tmp_path / "model.bin", tmp_path / "other.bin"
+        save_checkpoint(init_embeddings(30, 9, 5, seed=4), path)
+        save_checkpoint(init_embeddings(30, 9, 5, seed=5), other)   # the same size
+        over_spans = model._over_spans
+
+        def replacing(fn, n, spans):
+            os.replace(other, path)   # after the header and size checks
+            return over_spans(fn, n, spans)
+
+        monkeypatch.setattr(model, "_over_spans", replacing)
+        with pytest.raises(CheckpointError, match="replaced"):
+            load_checkpoint(path)
+        assert three_spans == [3] and not span_threads()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -707,11 +746,57 @@ class TestMemoryBudgets:
         peak = traced_peak(lambda: save_checkpoint(table, tmp_path / "model.bin"))
         assert peak <= 2 * model._CHUNK_BYTES
 
-    def test_load(self, tmp_path):
+    @pytest.mark.parametrize("spans", [1, 3])
+    def test_load(self, tmp_path, monkeypatch, spans):
         path = tmp_path / "model.bin"
         save_checkpoint(init_embeddings(self.N, self.M, self.K, seed=1), path)
+        monkeypatch.setattr(model, "_cpu_count", lambda: spans)
+        counts = record_spans(monkeypatch)
         peak = traced_peak(lambda: load_checkpoint(path))
+        assert counts == [spans]
         assert peak <= self.table_bytes + 2 * model._CHUNK_BYTES
+
+
+class ShrinkingFile:
+    """A file handle that reads normally except on its `short`-th
+    ``readinto``, which gets half the bytes asked for, as from a file that
+    shrank after its size was checked."""
+
+    def __init__(self, handle, short: int):
+        self.handle, self.short, self.reads = handle, short, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def readinto(self, buffer):
+        self.reads += 1
+        view = memoryview(buffer).cast("B")
+        if self.reads == self.short:
+            view = view[:len(view) // 2]
+        return self.handle.readinto(view)
+
+
+def record_spans(monkeypatch) -> list:
+    """The span count of every ``model._over_spans`` call from now on."""
+    counts = []
+    over_spans = model._over_spans
+
+    def recording(fn, n, spans):
+        counts.append(spans)
+        return over_spans(fn, n, spans)
+
+    monkeypatch.setattr(model, "_over_spans", recording)
+    return counts
+
+
+def span_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("quatkge-span-")]
 
 
 def header_of(table) -> dict:
