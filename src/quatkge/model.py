@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import json
 import math
 import os
@@ -51,9 +52,10 @@ _CHUNK_BYTES = 2**20
 # about 10% slower than one (N = 40,943, k = 100, 2-vCPU VM).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Fewest table bytes the row-norm pass of ``CandidateScorer`` and
-# ``load_checkpoint`` give a thread of its own: about 0.25 ms of einsum, or
-# about 3 ms of reading, against about 0.1 ms to start and join a thread
-# (2-vCPU VM).
+# checkpoint reads and writes give a thread of its own, and the fewest bytes
+# of a block that initialization draws on two threads: about 0.25 ms of
+# einsum, or about 3 ms of reading, against about 0.1 ms to start and join a
+# thread (2-vCPU VM).
 _SPAN_BYTES = 2**22
 
 
@@ -118,33 +120,28 @@ def _worker_count() -> int:
     return 1
 
 
-def _over_spans(fn, n: int, spans: int) -> list:
-    """``[fn(i, lo, hi) for each span i]``, where the `spans` spans
-    [lo, hi) cut range(n) into contiguous runs as equal as whole numbers
-    allow (1 <= spans <= n).
+def _on_threads(fns: list) -> list:
+    """``[fn() for fn in fns]``, with ``fns[0]`` on the calling thread and
+    every other on a thread of its own, named ``quatkge-span-<i>``.
 
-    Span 0 runs on the calling thread and every other span on a thread of
-    its own, so one span starts no thread. numpy releases the interpreter
-    lock in the products, ufuncs, einsums and copies the spans run, and a
-    file object in its reads, so the threads overlap. The call returns once
-    every thread has ended; if a span raised, the exception of the first
-    such span is raised then.
+    numpy releases the interpreter lock in the products, ufuncs, einsums,
+    copies and random draws the callables run, and a file object in its
+    reads and writes, so the threads overlap. The call returns once every
+    thread has ended; if a callable raised, the exception of the first such
+    callable is raised then.
     """
-    if spans == 1:
-        return [fn(0, 0, n)]
-    bounds = [n * i // spans for i in range(spans + 1)]
-    results: list = [None] * spans
-    errors: list = [None] * spans
+    results: list = [None] * len(fns)
+    errors: list = [None] * len(fns)
 
     def run(i: int) -> None:
         try:
-            results[i] = fn(i, bounds[i], bounds[i + 1])
+            results[i] = fns[i]()
         except BaseException as exc:  # re-raised on the calling thread below
             errors[i] = exc
 
     threads = []
     try:
-        for i in range(1, spans):
+        for i in range(1, len(fns)):
             thread = threading.Thread(target=run, args=(i,), name=f"quatkge-span-{i}")
             thread.start()
             threads.append(thread)
@@ -156,6 +153,20 @@ def _over_spans(fn, n: int, spans: int) -> list:
         if exc is not None:
             raise exc
     return results
+
+
+def _over_spans(fn, n: int, spans: int) -> list:
+    """``[fn(i, lo, hi) for each span i]``, where the `spans` spans
+    [lo, hi) cut range(n) into contiguous runs as equal as whole numbers
+    allow (1 <= spans <= n), run by ``_on_threads``: span 0 on the calling
+    thread and every other span on a thread of its own, so one span starts
+    no thread.
+    """
+    if spans == 1:
+        return [fn(0, 0, n)]
+    bounds = [n * i // spans for i in range(spans + 1)]
+    return _on_threads([functools.partial(fn, i, bounds[i], bounds[i + 1])
+                        for i in range(spans)])
 
 
 def _streams(rng: np.random.Generator, rows: int, k: int) -> list[np.random.Generator]:
@@ -181,29 +192,85 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
     (``_streams``), one chunk of rows at a time; each draw fills in C order,
     so the chunks continue their streams and the table does not depend on
     the chunk size. `rng` then continues where the Gaussian stream ended, as
-    after a one-shot draw. Beyond `out`, only one chunk's draws and
-    temporaries are held.
+    after a one-shot draw.
+
+    When the process may use more than one CPU and `out` is at least
+    ``_SPAN_BYTES``, the draw runs on two threads through ``_on_threads``: a
+    worker draws theta and rho chunk by chunk and writes rho*cos(theta) into
+    plane 0 and rho*sin(theta) into plane 1, while the calling thread draws
+    each chunk's directions, whose rejection sampling fixes no stream offset
+    in advance, and, once the worker has passed that chunk, scales them by
+    the sine in plane 1. Both threads run the same ufuncs on the same values
+    as one thread does, so the table is the same. Beyond `out`, each thread
+    holds only one chunk's draws and temporaries.
     """
     rows, _, k = out.shape
     bound = 1.0 / math.sqrt(2.0 * k)
     thetas, rhos, directions = _streams(rng, rows, k)
     step = _chunk_rows(3 * k * 8)
-    for lo in range(0, rows, step):
-        n = min(step, rows - lo)
-        part = slice(lo, lo + n)
+    parts = [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+    def polar(part: slice) -> None:
+        n = part.stop - part.start
         theta = thetas.uniform(-math.pi, math.pi, size=(n, k))
         rho = rhos.uniform(-bound, bound, size=(n, k))
-        gauss = directions.standard_normal(size=(n, 3, k))
+        np.multiply(rho, np.cos(theta), out=out[part, 0, :])
+        np.multiply(rho, np.sin(theta), out=out[part, 1, :])
+
+    def unit_directions(part: slice) -> np.ndarray:
+        gauss = directions.standard_normal(size=(part.stop - part.start, 3, k))
         norms = np.sqrt(np.einsum("rck,rck->rk", gauss, gauss))
         degenerate = norms <= 1e-12
         if np.any(degenerate):
             gauss[:, 0, :][degenerate] = 1.0
             norms[degenerate] = 1.0
-        # Built in place: the imaginary parts are the direction times
-        # rho*sin(theta), the real part rho*cos(theta).
-        imag = np.divide(gauss, norms[:, None, :], out=out[part, 1:, :])
-        imag *= (rho * np.sin(theta))[:, None, :]
-        np.multiply(rho, np.cos(theta), out=out[part, 0, :])
+        gauss /= norms[:, None, :]
+        return gauss
+
+    def imaginary(part: slice, unit: np.ndarray) -> None:
+        # The direction times rho*sin(theta), which plane 1 holds until this
+        # write; numpy reads an input that overlaps the output as if it did
+        # not.
+        np.multiply(unit, out[part, 1:2, :], out=out[part, 1:, :])
+
+    if _cpu_count() > 1 and out.nbytes >= _SPAN_BYTES:
+        ready = threading.Condition()
+        polar_done, failed, halted = 0, False, False
+
+        def polar_side() -> None:
+            nonlocal polar_done, failed
+            try:
+                for part in parts:
+                    if halted:  # the calling thread raised
+                        return
+                    polar(part)
+                    with ready:
+                        polar_done += 1
+                        ready.notify()
+            except BaseException:
+                with ready:
+                    failed = True
+                    ready.notify()
+                raise  # _on_threads re-raises it on the calling thread
+
+        def direction_side() -> None:
+            nonlocal halted
+            try:
+                for i, part in enumerate(parts):
+                    unit = unit_directions(part)
+                    with ready:
+                        ready.wait_for(lambda: polar_done > i or failed)
+                    if failed:
+                        return
+                    imaginary(part, unit)
+            finally:
+                halted = True
+
+        _on_threads([direction_side, polar_side])
+    else:
+        for part in parts:
+            polar(part)
+            imaginary(part, unit_directions(part))
     # advance() dropped any buffered 32-bit half-draw, which none of the
     # 64-bit draws above would have used, so keep the caller's.
     rng.bit_generator.state = {**rng.bit_generator.state,
@@ -215,7 +282,10 @@ def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> Emb
 
     Both blocks come from one PCG64 stream in the order ``_draw_rows`` gives,
     read through three stream offsets per block, so init holds the table
-    plus one chunk of draws.
+    plus a chunk of draws on each thread it runs on. A block of at least
+    ``_SPAN_BYTES`` is drawn on two threads when the process may use more
+    than one CPU (``taskset -c 0`` keeps it on one); the table is the same
+    either way.
     """
     if min(n_entities, n_relations, k) < 1:
         raise ValueError("n_entities, n_relations, and k must all be >= 1")
@@ -432,13 +502,13 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
 
     The bytes go to a temporary file beside `path` that then replaces it, so a
     write that fails or is killed midway leaves an earlier file at `path` as
-    it was. Each component is written in row chunks through one chunk-sized
-    buffer, so the write holds no copy of a whole component. A chunk that
-    holds a non-finite value raises ZeroQuaternionError before `path` is
-    replaced.
+    it was. The table's rows are written in spans, as ``load_checkpoint``
+    reads them (``_write_rows``): one per CPU the process may use and at most
+    one per ``_SPAN_BYTES`` of payload, each on a thread of its own and a
+    chunk of rows at a time, so the write holds one chunk of scratch beyond
+    the table. The file is the same for any span count. A chunk that holds a
+    non-finite value raises ZeroQuaternionError before `path` is replaced.
     """
-    step = _chunk_rows(table.k * 8)
-    chunk = np.empty((min(step, table.params.shape[0]), table.k), dtype="<f8")
     meta = {
         "config_hash": config_hash,
         "format_version": FORMAT_VERSION,
@@ -455,20 +525,63 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
             handle.write(_MAGIC)
             handle.write(struct.pack("<II", FORMAT_VERSION, len(header)))
             handle.write(header)
-            for block in (table.entities, table.relations):
-                for component in range(4):
-                    for lo in range(0, block.shape[0], step):
-                        part = chunk[:min(step, block.shape[0] - lo)]
-                        np.copyto(part, block[lo:lo + step, component, :])
-                        if not np.isfinite(part).all():
-                            raise ZeroQuaternionError(
-                                f"{path}: not written: the table holds a non-finite value")
-                        handle.write(part.data)
+            _write_rows(handle, temporary, path, table, 12 + len(header))
         os.replace(temporary, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temporary)
         raise
+
+
+def _row_spans(table: EmbeddingTable) -> tuple[int, int, list[np.ndarray], tuple]:
+    """How ``_write_rows`` and ``_read_rows`` cut the payload of `table`:
+    the span count, the rows of a chunk, one (4, rows, k) ``<f8`` buffer per
+    span (together one ``_CHUNK_BYTES`` chunk, allocated on the calling
+    thread, as the norm pass's buffers are), and the (first row, rows) of
+    the entity block and of the relation block. Component c of row `start`
+    of the block (first, count) lies 4*first + c*count + start - first rows
+    of k values into the payload."""
+    rows, _, k = table.params.shape
+    row_bytes = 4 * k * 8
+    spans = min(_cpu_count(), rows, -(-rows * row_bytes // _SPAN_BYTES))
+    step = min(_chunk_rows(spans * row_bytes), -(-rows // spans))
+    buffers = [np.empty((4, step, k), dtype="<f8") for _ in range(spans)]
+    blocks = ((0, table.n_entities), (table.n_entities, table.n_relations))
+    return spans, step, buffers, blocks
+
+
+def _write_rows(handle, temporary, path, table: EmbeddingTable, payload: int) -> None:
+    """Write ``table.params`` as the checkpoint payload that starts at byte
+    `payload` of the file `temporary`, open for writing as `handle`, which
+    is to replace `path`.
+
+    The mirror of ``_read_rows``: the payload is written as the table's
+    N + M rows, cut into the same spans. Span 0 writes through `handle` and
+    every other span opens `temporary`. Each span copies a chunk of rows at
+    a time into its (4, rows, k) buffer, with one transposed copy, and then
+    writes each component's rows where they lie in the file. A chunk that
+    holds a non-finite value raises ZeroQuaternionError before it is
+    written.
+    """
+    spans, step, buffers, blocks = _row_spans(table)
+    k = table.k
+
+    def write(span: int, lo: int, hi: int) -> None:
+        buffer = buffers[span]
+        with contextlib.nullcontext(handle) if span == 0 else open(temporary, "r+b") as sink:
+            for first, count in blocks:
+                end = min(hi, first + count)
+                for start in range(max(lo, first), end, step):
+                    part = buffer[:, :min(step, end - start)]
+                    np.copyto(part, table.params[start:start + part.shape[1]].transpose(1, 0, 2))
+                    if not np.isfinite(part).all():
+                        raise ZeroQuaternionError(
+                            f"{path}: not written: the table holds a non-finite value")
+                    for c in range(4):
+                        sink.seek(payload + (4 * first + c * count + start - first) * k * 8)
+                        sink.write(part[c].data)
+
+    _over_spans(write, table.params.shape[0], spans)
 
 
 def _header_int(meta: dict, key: str, minimum: int, path) -> int:
@@ -493,15 +606,9 @@ def _read_rows(handle, path, table: EmbeddingTable, payload: int) -> None:
     read raises CheckpointError, and a chunk that holds a non-finite value
     ZeroQuaternionError before it is copied.
     """
-    rows, _, k = table.params.shape
-    row_bytes = 4 * k * 8
-    spans = min(_cpu_count(), rows, -(-rows * row_bytes // _SPAN_BYTES))
-    step = min(_chunk_rows(spans * row_bytes), -(-rows // spans))
-    # allocated on the calling thread, as the norm pass's buffers are
-    buffers = [np.empty((4, step, k), dtype="<f8") for _ in range(spans)]
+    spans, step, buffers, blocks = _row_spans(table)
+    k = table.k
     opened = os.fstat(handle.fileno())
-    # (first row, rows) of the entity block and of the relation block
-    blocks = ((0, table.n_entities), (table.n_entities, table.n_relations))
 
     def read(span: int, lo: int, hi: int) -> None:
         buffer = buffers[span]
@@ -513,8 +620,7 @@ def _read_rows(handle, path, table: EmbeddingTable, payload: int) -> None:
                 for start in range(max(lo, first), end, step):
                     part = buffer[:, :min(step, end - start)]
                     for c in range(4):
-                        source.seek(payload + first * row_bytes
-                                    + (c * count + start - first) * k * 8)
+                        source.seek(payload + (4 * first + c * count + start - first) * k * 8)
                         if source.readinto(part[c]) != part[c].nbytes:
                             raise CheckpointError(
                                 f"{path}: payload ended before its declared size")
@@ -522,7 +628,7 @@ def _read_rows(handle, path, table: EmbeddingTable, payload: int) -> None:
                         raise ZeroQuaternionError(f"{path}: the table holds a non-finite value")
                     table.params[start:start + part.shape[1]] = part.transpose(1, 0, 2)
 
-    _over_spans(read, rows, spans)
+    _over_spans(read, table.params.shape[0], spans)
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:

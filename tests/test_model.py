@@ -107,6 +107,149 @@ class TestInit:
             init_embeddings(0, 1, 4, seed=0)
 
 
+class TestTwoThreadDraw:
+    """With ``_SPAN_BYTES`` at one byte every block may take the two-thread
+    draw, which it does when more than one CPU is usable."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(model, "_SPAN_BYTES", 1)
+        monkeypatch.setattr(model, "_cpu_count", lambda: request.param)
+        return request.param
+
+    @staticmethod
+    def assert_polar_threads(cpus: int, threads: list, started: list) -> None:
+        """The theta draws ran on the worker when more than one CPU is
+        usable, and on the calling thread, with no thread started, else."""
+        if cpus > 1:
+            assert set(threads) == {"quatkge-span-1"} and started == ["quatkge-span-1"] * 2
+        else:
+            assert set(threads) == {threading.current_thread().name} and started == []
+        assert not span_threads()
+
+    @pytest.mark.parametrize("chunk_bytes", TestInit.CHUNKS)
+    def test_equals_one_shot_draw(self, monkeypatch, cpus, chunk_bytes):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        threads, started = polar_threads(monkeypatch), started_threads(monkeypatch)
+        table = init_embeddings(30, 9, 5, seed=3)
+        expected = reference_init(30, 9, 5, np.random.default_rng(3))
+        assert table.params.tobytes() == expected.tobytes()
+        self.assert_polar_threads(cpus, threads, started)
+
+    @pytest.mark.parametrize("chunk_bytes", TestInit.CHUNKS)
+    def test_degenerate_direction_in_a_later_chunk(self, monkeypatch, cpus, chunk_bytes):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        row, col = 22, 3
+        zeroing = ZeroDirectionRng(None, row, col)
+        threads, started = polar_threads(monkeypatch, zeroing), started_threads(monkeypatch)
+        table = init_embeddings(30, 9, 5, seed=3)
+        expected = reference_init(30, 9, 5,
+                                  ZeroDirectionRng(np.random.default_rng(3), row, col))
+        assert table.params.tobytes() == expected.tobytes()
+        assert np.all(table.params[row, 2:, col] == 0.0) and table.params[row, 1, col] != 0.0
+        self.assert_polar_threads(cpus, threads, started)
+
+    @pytest.mark.parametrize("chunk_bytes", TestInit.CHUNKS)
+    def test_generator_ends_where_one_shot_draw_does(self, monkeypatch, cpus, chunk_bytes):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
+        threads = polar_threads(monkeypatch)
+        rng, one_shot = np.random.default_rng(3), np.random.default_rng(3)
+        assert rng.random(dtype=np.float32) == one_shot.random(dtype=np.float32)
+        model._draw_rows(rng, np.empty((30, 4, 5)))
+        reference_draw_rows(one_shot, np.empty((30, 4, 5)))
+        assert rng.random(3, dtype=np.float32).tobytes() == \
+            one_shot.random(3, dtype=np.float32).tobytes()
+        assert rng.random(5).tobytes() == one_shot.random(5).tobytes()
+        assert set(threads) == {"quatkge-span-1" if cpus > 1 else
+                                threading.current_thread().name}
+
+    # k = 5 in chunks of 4 rows: the 30 entity rows are 8 chunks, and the
+    # third draw of each stream fails
+    @pytest.mark.parametrize("stream", ["theta", "gauss"])
+    def test_failed_draw_is_raised_and_the_worker_joined(self, monkeypatch, cpus, stream):
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 4 * 120)
+        streams = model._streams
+        draws = []
+
+        def failing_streams(rng, rows, k):
+            theta, rho, gauss = streams(rng, rows, k)
+            failing = ThreadRecordingRng(theta if stream == "theta" else gauss, draws, 3)
+            return (failing, rho, gauss) if stream == "theta" else (theta, rho, failing)
+
+        monkeypatch.setattr(model, "_streams", failing_streams)
+        errors = []
+
+        def draw() -> None:
+            try:
+                init_embeddings(30, 9, 5, seed=3)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        # on a thread of its own, so that a deadlock fails the test instead
+        # of hanging the run
+        caller = threading.Thread(target=draw, name="test-caller", daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in errors] == ["draw 3 failed"]
+        assert draws[-1] == ("quatkge-span-1" if cpus > 1 and stream == "theta"
+                             else "test-caller")
+        assert not span_threads()
+
+
+class ThreadRecordingRng:
+    """The generator `rng`, recording in `threads` the thread of every
+    ``uniform`` and ``standard_normal`` call; the `fail_at`-th call raises."""
+
+    def __init__(self, rng, threads: list, fail_at: int | None = None):
+        self.rng, self.threads, self.fail_at = rng, threads, fail_at
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def _draw(self, method, *args, **kwargs):
+        self.threads.append(threading.current_thread().name)
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError(f"draw {self.fail_at} failed")
+        return getattr(self.rng, method)(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self._draw("uniform", *args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        return self._draw("standard_normal", *args, **kwargs)
+
+
+def polar_threads(monkeypatch, gaussian=None) -> list:
+    """The names of the threads that draw theta, one per chunk, from now on;
+    `gaussian`, a ``ZeroDirectionRng``, then wraps the Gaussian stream."""
+    threads = []
+    streams = model._streams
+
+    def recording_streams(rng, rows, k):
+        theta, rho, gauss = streams(rng, rows, k)
+        if gaussian is not None:
+            gaussian.rng, gauss = gauss, gaussian
+        return ThreadRecordingRng(theta, threads), rho, gauss
+
+    monkeypatch.setattr(model, "_streams", recording_streams)
+    return threads
+
+
+def started_threads(monkeypatch) -> list:
+    """The names of the threads ``model`` starts from now on."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(model.threading, "Thread", Recording)
+    return started
+
+
 class ZeroDirectionRng:
     """The generator `rng` with a Gaussian stream that, counted in (3, k)
     rows over all ``standard_normal`` calls, has an all-zero direction at
@@ -520,6 +663,9 @@ class TestCheckpoint:
             def __exit__(self, *exc):
                 self.handle.close()
 
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
             def write(self, data):
                 self.writes += 1
                 if self.writes == 5:
@@ -618,8 +764,8 @@ class TestCheckpoint:
 
     @pytest.fixture
     def three_spans(self, monkeypatch):
-        """Loads cut the 39 rows of a k = 5 table into 3 spans of 13 rows,
-        read 4 rows a chunk."""
+        """Saves and loads cut the 39 rows of a k = 5 table into 3 spans of
+        13 rows, written and read 4 rows a chunk."""
         monkeypatch.setattr(model, "_SPAN_BYTES", 160)
         monkeypatch.setattr(model, "_CHUNK_BYTES", 3 * 160 * 4)
         monkeypatch.setattr(model, "_cpu_count", lambda: 3)
@@ -651,7 +797,7 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="ended before"):
                 load_checkpoint(path)
         assert len(handles) == 3 and all(handle.closed for handle in handles)
-        assert three_spans == [3] and not span_threads()
+        assert three_spans == [3, 3] and not span_threads()   # the save's, the load's
 
     def test_file_replaced_before_a_span_opens(self, tmp_path, monkeypatch, three_spans):
         path, other = tmp_path / "model.bin", tmp_path / "other.bin"
@@ -666,7 +812,53 @@ class TestCheckpoint:
         monkeypatch.setattr(model, "_over_spans", replacing)
         with pytest.raises(CheckpointError, match="replaced"):
             load_checkpoint(path)
-        assert three_spans == [3] and not span_threads()
+        assert three_spans == [3, 3, 3] and not span_threads()   # two saves, one load
+
+    # The row spans of a save are those of a load (see above).
+    @pytest.mark.parametrize("chunk_rows", [1, 4, 7])
+    @pytest.mark.parametrize("spans", [1, 2, 3])
+    def test_span_writes_equal_whole_block_writer(self, tmp_path, monkeypatch, spans,
+                                                  chunk_rows):
+        monkeypatch.setattr(model, "_SPAN_BYTES", 160)
+        monkeypatch.setattr(model, "_CHUNK_BYTES", spans * 160 * chunk_rows + 1)
+        monkeypatch.setattr(model, "_cpu_count", lambda: spans)
+        counts = record_spans(monkeypatch)
+        table = init_embeddings(30, 9, 5, seed=10 * spans + chunk_rows)
+        path = tmp_path / "model.bin"
+        save_checkpoint(table, path, config_hash="abc")
+        header = dict(header_of(table), config_hash="abc")
+        assert counts == [spans]
+        assert path.read_bytes() == with_header(
+            table, json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_in_last_span_of_a_save(self, tmp_path, three_spans, value):
+        path = tmp_path / "best.bin"
+        save_checkpoint(init_embeddings(30, 9, 5, seed=1), path)
+        before = path.read_bytes()
+        table = init_embeddings(30, 9, 5, seed=2)
+        table.relations[8, 2, 4] = value   # row 38: the last span's last chunk
+        with pytest.raises(ZeroQuaternionError, match="not written"):
+            save_checkpoint(table, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        assert three_spans == [3, 3] and not span_threads()
+
+    @pytest.mark.parametrize("load_spans", [1, 3])
+    @pytest.mark.parametrize("save_spans", [1, 3])
+    def test_round_trip_across_span_counts(self, tmp_path, monkeypatch, save_spans,
+                                           load_spans):
+        monkeypatch.setattr(model, "_SPAN_BYTES", 160)
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 3 * 160 * 4)
+        counts = record_spans(monkeypatch)
+        table = init_embeddings(30, 9, 5, seed=4)
+        path = tmp_path / "model.bin"
+        monkeypatch.setattr(model, "_cpu_count", lambda: save_spans)
+        save_checkpoint(table, path)
+        monkeypatch.setattr(model, "_cpu_count", lambda: load_spans)
+        loaded, _ = load_checkpoint(path)
+        assert counts == [save_spans, load_spans]
+        assert loaded.params.tobytes() == table.params.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -741,9 +933,13 @@ class TestMemoryBudgets:
         peak = traced_peak(lambda: init_embeddings(self.N, self.M, self.K, seed=1))
         assert peak <= self.table_bytes + 4 * model._CHUNK_BYTES
 
-    def test_save(self, tmp_path):
+    @pytest.mark.parametrize("spans", [1, 3])
+    def test_save(self, tmp_path, monkeypatch, spans):
         table = init_embeddings(self.N, self.M, self.K, seed=1)
+        monkeypatch.setattr(model, "_cpu_count", lambda: spans)
+        counts = record_spans(monkeypatch)
         peak = traced_peak(lambda: save_checkpoint(table, tmp_path / "model.bin"))
+        assert counts == [spans]
         assert peak <= 2 * model._CHUNK_BYTES
 
     @pytest.mark.parametrize("spans", [1, 3])
