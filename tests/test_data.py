@@ -1,4 +1,8 @@
 import os
+import platform
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatkge import data
 from quatkge.data import HEAD, TAIL, build_store, load_dataset, load_split
 from quatkge.errors import ParseError
 
@@ -244,6 +249,96 @@ class TestBuildStore:
             for array, ids, (_, reference_ids) in zip(
                     (store.train, store.valid, store.test), expected, reference[2]):
                 assert array.tolist() == ids == [list(t) for t in reference_ids]
+
+
+def store_fields(store):
+    """A store's arrays as bytes, and its names, for exact comparison."""
+    arrays = (store.train, store.valid, store.test, store.tail_keys, store.head_keys,
+              store.type_head_keys, store.type_tail_keys)
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+            store.entity_names, store.relation_names)
+
+
+class TestTrim:
+    """build_store returns the freed heap to the OS above _TRIM_BYTES of text."""
+
+    # 18 + 6 + 6 bytes of text
+    SPLITS = ([("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")],
+              [("c", "s", "b")], [("a", "s", "c")])
+    TEXT_BYTES = 30
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(data, "_malloc_trim", lambda pad: calls.append(pad) or 1)
+        return calls
+
+    @pytest.mark.parametrize("limit, expected", [(1, [0]), (TEXT_BYTES, [0]),
+                                                 (TEXT_BYTES + 1, [])])
+    def test_trims_once_at_or_above_the_limit(self, monkeypatch, tmp_path, calls,
+                                              limit, expected):
+        monkeypatch.setattr(data, "_TRIM_BYTES", limit)
+        build_store(*self.SPLITS)
+        assert calls == expected
+        paths = write_splits(tmp_path, ["".join("\t".join(line) + "\n" for line in split)
+                                        .encode() for split in self.SPLITS])
+        load_dataset(*paths)
+        assert calls == expected * 2
+
+    def test_load_frees_its_splits_before_the_trim(self, monkeypatch, tmp_path):
+        # the trim returns the pages of the split bytes and offsets only if
+        # nothing holds them any more
+        monkeypatch.setattr(data, "_TRIM_BYTES", 1)
+        refs, alive = [], []
+        load = data.load_split
+        monkeypatch.setattr(data, "load_split",
+                            lambda path: refs.append(weakref.ref(split := load(path))) or split)
+        monkeypatch.setattr(data, "_malloc_trim",
+                            lambda pad: alive.append(sum(ref() is not None for ref in refs)))
+        paths = write_splits(tmp_path, ["".join("\t".join(line) + "\n" for line in split)
+                                        .encode() for split in self.SPLITS])
+        assert store_fields(load_dataset(*paths)) == store_fields(build_store(*self.SPLITS))
+        assert len(refs) == 3 and alive == [0, 0]
+
+    def test_no_trim_below_the_default_limit(self, calls, planted):
+        # a planted-size load holds about 15 KB of text
+        build_store(planted.train, planted.valid, planted.test)
+        assert calls == []
+
+    def test_same_store_without_malloc_trim(self, monkeypatch):
+        monkeypatch.setattr(data, "_TRIM_BYTES", 1)
+        trimmed = store_fields(build_store(*self.SPLITS))
+        monkeypatch.setattr(data, "_malloc_trim", None)
+        assert store_fields(build_store(*self.SPLITS)) == trimmed
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_found_on_glibc(self):
+        assert data._malloc_trim is not None
+
+    @pytest.mark.parametrize("failure", ["OSError", "TypeError", "AttributeError"])
+    def test_failed_lookup_does_not_raise_at_import(self, failure):
+        # ctypes.CDLL fails to open the C library, or opens one without
+        # malloc_trim (musl, macOS), before the package is first imported
+        code = "\n".join([
+            "import ctypes",
+            "class NoTrim:",
+            "    pass",
+            "def cdll(name):",
+            f"    if {failure!r} == 'AttributeError':",
+            "        return NoTrim()",
+            f"    raise {failure}('no C library')",
+            "ctypes.CDLL = cdll",
+            "from quatkge import data",
+            "assert data._malloc_trim is None",
+            "store = data.build_store([('a', 'r', 'b')], [], [])",
+            "assert store.entity_names == ['a', 'b']",
+        ])
+        src = str(Path(data.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 class TestIsTrue:

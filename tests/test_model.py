@@ -455,6 +455,22 @@ class TestCandidateSweeps:
         np.testing.assert_allclose(sweeps.pair_keys(scaled, gold),
                                    keys[np.arange(6), gold], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    def test_queries_equal_two_product_build(self, scorer):
+        # one product over [h; t] and [w_hat; conj(w_hat)] gives every row
+        # bit for bit what a product over its own half of the block gives
+        table = init_embeddings(50, 4, 9, seed=25)
+        sweeps = CandidateScorer(table, scorer)
+        rows = np.random.default_rng(26).integers(0, [50, 4, 50], size=(13, 3))
+        part = model._planar if scorer == "rotate" else (lambda q: q)
+        unit = quat.normalize(part(table.relations[rows[:, 1]]))
+        tails = quat.hamilton(part(table.entities[rows[:, 0]]), unit)
+        heads = quat.hamilton(part(table.entities[rows[:, 2]]), quat.conjugate(unit))
+        queries = sweeps.queries(rows)
+        expected = np.concatenate([tails, heads]).reshape(26, -1)[:, :queries.shape[1]]
+        assert queries.shape == expected.shape
+        assert queries.tobytes() == np.ascontiguousarray(expected).tobytes()
+
     def test_score_triples_matches_single(self):
         table = init_embeddings(5, 2, 3, seed=19)
         batch = [(0, 0, 1), (2, 1, 3), (4, 0, 0)]
