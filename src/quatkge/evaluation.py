@@ -18,7 +18,9 @@ whose ids are not one contiguous run gathers their table rows first.
 Otherwise the tiles run over the whole table. Each tile costs one matrix
 product for the ranking key (``CandidateScorer``; lower first) and two
 comparisons against each gold's key g, widened by a band of
-_TIE_BAND * (|q|^2 + max |e|^2). A candidate below g - band is better; one
+_TIE_BAND * (|q|^2 + max |e|^2), the maximum over the tile's rows and the
+block's golds, which covers the rounding of both keys. The scorer norms a
+row when a key first reads it. A candidate below g - band is better; one
 inside the band is re-scored, with the gold, by ``score_triples`` and
 compared exactly. Ranks therefore follow ``score_triples`` (the direct
 difference, for the distances), not the rounding of the key's expansion, so
@@ -31,15 +33,6 @@ and each span is swept on a thread of its own into its own integer counts,
 which are added up once every span has ended; the thread count therefore
 does not move a rank either. The spans share one _TILE_BYTES budget for
 their tile buffers.
-
-Before the first block, ``CandidateScorer`` computes |e|^2, max |e|^2 and the
-non-finite check over every entity row, except under type constraints when
-the rows the split can read, the pools of its relations plus its own heads
-and tails, are at most _GATHER_SHARE of the table: then over those rows
-alone. Every block's candidate columns and golds lie in them and every
-block is compacted, so no key reads a row that was not normed, and the band
-taken from their maximum covers every key's rounding. Relation rows are
-always checked.
 """
 
 from __future__ import annotations
@@ -143,9 +136,11 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
         width = max(1, _TILE_BYTES // (8 * count * workers))
     m = mask.shape[1]
     scaled = cand.key_scale * queries
-    band = _TIE_BAND * (np.einsum("bc,bc->b", queries, queries) + cand.max_row_sq)
-    gold_keys = cand.pair_keys(scaled, gold)
-    low, high = (gold_keys - band)[:, None], (gold_keys + band)[:, None]
+    query_sq = np.einsum("bc,bc->b", queries, queries)
+    # the golds are normed here, on the calling thread, so that the spans
+    # norm only the rows of their own tiles
+    gold_keys, gold_sq = cand.pair_keys(scaled, gold)
+    gold_max = gold_sq.max()
     tiles = -(-m // width)
     spans = min(workers, tiles)
     better = np.zeros((spans, count), dtype=np.int64)
@@ -166,13 +161,15 @@ def _mean_rank(cand: CandidateScorer, rows: np.ndarray, queries: np.ndarray,
             part = slice(0, hi - lo)
             ids = cols[lo:hi]
             if ids[-1] - ids[0] == hi - lo - 1:  # one run of ids
-                tile = cand.keys(scaled, ids[0], ids[-1] + 1, out=keys[:, part])
+                tile, row_sq = cand.keys(scaled, ids[0], ids[-1] + 1, out=keys[:, part])
             else:
-                tile = cand.gathered_keys(scaled, ids, gathered[part], out=keys[:, part])
+                tile, row_sq = cand.gathered_keys(scaled, ids, gathered[part],
+                                                  out=keys[:, part])
+            band = _TIE_BAND * (query_sq + max(row_sq.max(), gold_max))
             candidates = mask[:, lo:hi]
-            tile_below = np.less(tile, low, out=below[:, part])
+            tile_below = np.less(tile, (gold_keys - band)[:, None], out=below[:, part])
             tile_below &= candidates
-            tile_near = np.less_equal(tile, high, out=near[:, part])
+            tile_near = np.less_equal(tile, (gold_keys + band)[:, None], out=near[:, part])
             tile_near &= candidates
             # int32 row sums count a bool block about twice as fast as
             # count_nonzero(axis=1), which sums through an intp cast
@@ -237,25 +234,6 @@ def _candidate_mask(store: TripleStore, rows: np.ndarray, position: str, mode: s
     return mask, reinserted
 
 
-def _readable_rows(triples: np.ndarray, pools: dict) -> np.ndarray | None:
-    """Sorted ids of the entity rows that type-constrained ranking of
-    `triples` reads: the tail and head pools of their relations and their
-    own heads and tails. None when those are more than _GATHER_SHARE of the
-    table; every row is then normed, as unconstrained ranking norms it.
-
-    Each block's candidate columns and golds lie in these rows, so when the
-    rows are at most _GATHER_SHARE of the table, every block is compacted
-    and keys only them.
-    """
-    used = np.zeros(pools[TAIL].shape[0], dtype=bool)
-    used[triples[:, 1]] = True
-    readable = pools[TAIL][used].any(axis=0) | pools[HEAD][used].any(axis=0)
-    readable[triples[:, 0]] = True
-    readable[triples[:, 2]] = True
-    ids = np.flatnonzero(readable)
-    return ids if ids.size <= _GATHER_SHARE * readable.size else None
-
-
 def link_prediction(table: EmbeddingTable, store: TripleStore,
                     mode: str = "filtered", constraint: bool = False,
                     scorer: str = "quate_d", split: str = "test") -> RankingReport:
@@ -273,7 +251,7 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
         raise ValueError(f"split {split!r} is empty")
     pools = ({position: store.type_pools(position) for position in (TAIL, HEAD)}
              if constraint else {TAIL: None, HEAD: None})
-    cand = CandidateScorer(table, scorer, _readable_rows(triples, pools) if constraint else None)
+    cand = CandidateScorer(table, scorer)
     ranks = np.empty((triples.shape[0], 2))
     reinserted = 0
     for start in range(0, triples.shape[0], _BLOCK_TRIPLES):

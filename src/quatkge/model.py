@@ -51,10 +51,9 @@ _CHUNK_BYTES = 2**20
 # Two ranking threads that each ran a two-thread OpenBLAS product ranked
 # about 10% slower than one (N = 40,943, k = 100, 2-vCPU VM).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# Fewest table bytes the row-norm pass of ``CandidateScorer`` and
-# checkpoint reads and writes give a thread of its own, and the fewest bytes
-# of a block that initialization draws on two threads: about 0.25 ms of
-# einsum, or about 3 ms of reading, against about 0.1 ms to start and join a
+# Fewest table bytes that checkpoint reads and writes give a thread of
+# their own, and the fewest bytes of a block that initialization draws on two
+# threads: about 3 ms of reading against about 0.1 ms to start and join a
 # thread (2-vCPU VM).
 _SPAN_BYTES = 2**22
 
@@ -350,64 +349,53 @@ class CandidateScorer:
     has zero j and k components, so its products read only the (a, b)
     columns of each table row.
 
-    |e|^2 and the non-finite check cover the entity rows `normed`, sorted
-    unique ids (every row when None), and every relation row; max |e|^2 is
-    the normed rows' maximum. ``keys``, ``gathered_keys`` and ``pair_keys``
-    may read only normed rows: the |e|^2 of any other row is NaN. A span of
-    ids that forms one run, as the whole table does, is normed in place, any
-    other a chunk at a time through a buffer of one ``_CHUNK_BYTES`` chunk.
+    |e|^2 is computed when a key first reads a row (``_row_norms``) and
+    cached, so a call over rows that are all cached norms nothing; a
+    non-finite |e|^2 raises ZeroQuaternionError before any key is formed.
+    ``keys``, ``gathered_keys`` and ``pair_keys`` return the |e|^2 of the
+    rows they read with their keys, and ranking takes its tie band from
+    them. The constructor checks the relation rows; ``queries`` checks each
+    query.
 
     ``all_tails`` and ``all_heads`` return the scores themselves: the key over
     the whole table, then, for the distances, plus |q|^2, clipped at 0 and
-    square-rooted; a (B, N) float64 array for B queries. They need every
-    row normed.
+    square-rooted; a (B, N) float64 array for B queries.
     """
 
-    def __init__(self, table: EmbeddingTable, scorer: str = "quate_d",
-                 normed: np.ndarray | None = None):
+    def __init__(self, table: EmbeddingTable, scorer: str = "quate_d"):
         _check_scorer(scorer)
+        if not np.all(np.isfinite(table.relations)):
+            raise ZeroQuaternionError("embedding table contains non-finite values")
         self.table = table
         self.scorer = scorer
         # C key columns per row: (a, b) for rotate, all four components else
         self._width = (2 if scorer == "rotate" else 4) * table.k
         # (N, C) view of the entity columns the products read
         self._cols = table.entities.reshape(table.n_entities, -1)[:, :self._width]
-        n = table.n_entities
-        self.normed = np.arange(n) if normed is None else normed
-        # |e|^2 of the normed rows, in spans of at least _SPAN_BYTES of
-        # columns, one per worker; each row's sum is the whole-table einsum's.
-        # The other entries stay NaN.
-        self._row_sq = np.full(n, np.nan)
-        step = max(1, _SPAN_BYTES // (8 * self._width))
-        chunk = _chunk_rows(8 * self._width)
-        units = -(-self.normed.size // step)
-        spans = min(_worker_count(), units)
-        # One gather buffer per span, allocated on the calling thread: with
-        # buffers that the span threads allocated, wn18rr-size-train's peak
-        # RSS read about 3 MB above the whole-table pass, with these about 1 MB.
-        buffers = ([] if normed is None else
-                   [np.empty((min(chunk, self.normed.size), self._width)) for _ in range(spans)])
-
-        def norms(span: int, first: int, last: int) -> None:
-            ids = self.normed[first * step:last * step]
-            if ids[-1] - ids[0] == ids.size - 1:  # one run of ids
-                rows = slice(ids[0], ids[-1] + 1)
-                np.einsum("nc,nc->n", self._cols[rows], self._cols[rows],
-                          out=self._row_sq[rows])
-                return
-            for lo in range(0, ids.size, chunk):
-                part = ids[lo:lo + chunk]
-                # "clip" copies straight into the buffer (see gathered_keys)
-                rows = np.take(self._cols, part, axis=0, out=buffers[span][:part.size],
-                               mode="clip")
-                self._row_sq[part] = np.einsum("nc,nc->n", rows, rows)
-
-        _over_spans(norms, units, spans)
-        # NaN and inf rows make the maximum non-finite
-        self.max_row_sq = float(self._row_sq[self.normed].max())
+        # |e|^2 of each row a key has read; NaN for the others
+        self._row_sq = np.full(table.n_entities, np.nan)
         self.key_scale = -1.0 if scorer == "quate_inner" else -2.0
-        if not (math.isfinite(self.max_row_sq) and np.all(np.isfinite(table.relations))):
-            raise ZeroQuaternionError("embedding table contains non-finite values")
+
+    def _row_norms(self, ids, rows: np.ndarray) -> np.ndarray:
+        """|e|^2 of the entity rows `ids`, a slice or an id array, whose key
+        columns a product is about to read as `rows`.
+
+        When any of them is not cached yet, all of them are normed from
+        `rows` with one einsum, whose sum for each row does not depend on the
+        rows beside it, and cached. Norming only the uncached rows would
+        copy them out of `rows`: nearly every tile holds a gold that
+        ``pair_keys`` cached first, and those copies raised the peak RSS of
+        a WN18RR-size ranking pass (N = 40,943, k = 100, two threads) from
+        187 to 199 MB. Ranking threads call this on disjoint rows.
+        """
+        row_sq = self._row_sq[ids]
+        if np.isnan(row_sq).any():
+            row_sq = np.einsum("nc,nc->n", rows, rows)
+            # NaN and inf rows make the maximum non-finite
+            if not math.isfinite(row_sq.max()):
+                raise ZeroQuaternionError("embedding table contains non-finite values")
+            self._row_sq[ids] = row_sq
+        return row_sq
 
     def _rows(self, block: np.ndarray, ids) -> np.ndarray:
         return _planar(block[ids]) if self.scorer == "rotate" else block[ids]
@@ -434,37 +422,48 @@ class CandidateScorer:
         x[:] = self._rows(self.table.entities, np.concatenate([h, t]))
         y[:b] = quat.normalize(self._rows(self.table.relations, r))
         quat.conjugate(y[:b], out=y[b:])
-        quat.hamilton(x, y, out=out)
+        # inf times a zero would warn; the check below raises instead
+        with np.errstate(invalid="ignore", over="ignore"):
+            quat.hamilton(x, y, out=out)
+        if not np.isfinite(out).all():
+            raise ZeroQuaternionError("embedding table contains non-finite values")
         return self._flat(np.ascontiguousarray(out))
 
-    def keys(self, scaled: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+    def keys(self, scaled: np.ndarray, lo: int, hi: int,
+             out=None) -> tuple[np.ndarray, np.ndarray]:
         """(B, hi - lo) keys of entities lo..hi-1 for queries `scaled`, which
-        are the (B, C) queries times ``key_scale``."""
-        keys = np.matmul(scaled, self._cols[lo:hi].T, out=out)
+        are the (B, C) queries times ``key_scale``, and their |e|^2."""
+        rows = self._cols[lo:hi]
+        row_sq = self._row_norms(slice(lo, hi), rows)
+        keys = np.matmul(scaled, rows.T, out=out)
         if self.scorer != "quate_inner":
-            keys += self._row_sq[lo:hi]
-        return keys
+            keys += row_sq
+        return keys, row_sq
 
     def gathered_keys(self, scaled: np.ndarray, ids: np.ndarray, rows: np.ndarray,
-                      out=None) -> np.ndarray:
-        """(B, len(ids)) keys of entities `ids` for queries `scaled`; their
-        columns are first gathered into `rows`, a (len(ids), C) float64
-        buffer."""
+                      out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(B, len(ids)) keys of entities `ids` for queries `scaled`, and
+        their |e|^2; their columns are first gathered into `rows`, a
+        (len(ids), C) float64 buffer."""
         # take buffers its result in its default mode, "raise"; the ids are
         # in range, so "clip" copies straight into `rows`
         np.take(self._cols, ids, axis=0, out=rows, mode="clip")
+        row_sq = self._row_norms(ids, rows)
         keys = np.matmul(scaled, rows.T, out=out)
         if self.scorer != "quate_inner":
-            keys += self._row_sq[ids]
-        return keys
+            keys += row_sq
+        return keys, row_sq
 
-    def pair_keys(self, scaled: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """(B,) key of entity ids[i] for query i of `scaled`; it may differ
-        from the same pair's ``keys`` entry in the last bits."""
-        keys = np.einsum("bc,bc->b", scaled, self._cols[ids])
+    def pair_keys(self, scaled: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B,) key of entity ids[i] for query i of `scaled`, and the |e|^2
+        of ids[i]; the key may differ from the same pair's ``keys`` entry in
+        the last bits."""
+        rows = self._cols[ids]
+        row_sq = self._row_norms(ids, rows)
+        keys = np.einsum("bc,bc->b", scaled, rows)
         if self.scorer != "quate_inner":
-            keys += self._row_sq[ids]
-        return keys
+            keys += row_sq
+        return keys, row_sq
 
     def exact(self, triples: np.ndarray) -> np.ndarray:
         """``score_triples`` of (B, 3) triples, negated for ``quate_inner``
@@ -472,10 +471,14 @@ class CandidateScorer:
         scores = score_triples(self.table, triples, self.scorer)
         return scores if lower_is_better(self.scorer) else -scores
 
+    # _scores, all_tails and all_heads stay only because the benchmark's
+    # tracer hooks all_tails and all_heads as ``model.sweep`` and
+    # tests/test_tracer_hooks.py asserts that the hook installs; ranking
+    # does not call them. They go when the tracer times ``keys`` instead.
     def _scores(self, rotated: np.ndarray) -> np.ndarray:
         """Scores of (..., 4, k) rotated queries against every entity: (..., N)."""
         flat = self._flat(rotated)
-        scores = self.keys(self.key_scale * flat, 0, self.table.n_entities)
+        scores, _ = self.keys(self.key_scale * flat, 0, self.table.n_entities)
         if self.scorer == "quate_inner":
             np.negative(scores, out=scores)
         else:
@@ -542,10 +545,10 @@ def _row_spans(table: EmbeddingTable) -> tuple[int, int, list[np.ndarray], tuple
     """How ``_write_rows`` and ``_read_rows`` cut the payload of `table`:
     the span count, the rows of a chunk, one (4, rows, k) ``<f8`` buffer per
     span (together one ``_CHUNK_BYTES`` chunk, allocated on the calling
-    thread, as the norm pass's buffers are), and the (first row, rows) of
-    the entity block and of the relation block. Component c of row `start`
-    of the block (first, count) lies 4*first + c*count + start - first rows
-    of k values into the payload."""
+    thread), and the (first row, rows) of the entity block and of the
+    relation block. Component c of row `start` of the block (first, count)
+    lies 4*first + c*count + start - first rows of k values into the
+    payload."""
     rows, _, k = table.params.shape
     row_bytes = 4 * k * 8
     spans = min(_cpu_count(), rows, -(-rows * row_bytes // _SPAN_BYTES))

@@ -349,9 +349,9 @@ class TestEvalCommand:
             [("e0", "r", "e3")], [("e2", "r", "e1"), ("e4", "r", "e3")])
         path = tmp_path / "nan.bin"
         store = nan_checkpoint(flags, path, "e10")
-        pools = {position: store.type_pools(position) for position in (TAIL, HEAD)}
-        readable = evaluation._readable_rows(store.test, pools)
-        assert [store.entity_names[e] for e in readable] == names[:6]
+        relation = store.relation_names.index("r")
+        pooled = store.type_pools(TAIL)[relation] | store.type_pools(HEAD)[relation]
+        assert [store.entity_names[e] for e in np.flatnonzero(pooled)] == names[:6]
         code = main(["eval", "--checkpoint", str(path), *flags, "--type-constraints", "on"])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err

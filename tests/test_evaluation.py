@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from quatkge import evaluation, model
 from quatkge.data import HEAD, TAIL
 from quatkge.errors import ZeroQuaternionError
-from quatkge.evaluation import link_prediction, triple_classification
+from quatkge.evaluation import MODES, link_prediction, triple_classification
 from quatkge.evaluation import _best_threshold, _candidate_mask, _mean_rank
 from quatkge.model import CandidateScorer, EmbeddingTable, init_embeddings
 
@@ -586,10 +586,10 @@ class TestScoreBlocks:
         store, table = fixture50
         self.use_blocks(monkeypatch, 3, columns=columns)
         used = self.spans_used(monkeypatch, table, store, False, workers)
-        # the scorer's row norms (20 rows: one span), then one sweep per
-        # block of 3 triples; the last, partial block's tiles are wider
-        assert used[0] == 1 and used[1] == spans
-        assert len(used) == 1 + -(-store.test.shape[0] // 3)
+        # one sweep per block of 3 triples; the last, partial block's tiles
+        # are wider
+        assert used[0] == spans
+        assert len(used) == -(-store.test.shape[0] // 3)
 
     @pytest.mark.parametrize("workers, columns, spans", [
         (2, 16, [1, 1, 2, 2, 1]),  # 8-column tiles: two blocks in two tiles
@@ -607,7 +607,7 @@ class TestScoreBlocks:
         monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", 3)
         monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (2 * 3 + 24) * columns)
         used = self.spans_used(monkeypatch, table, store, True, workers)
-        assert used == [1] + spans
+        assert used == spans
 
     def spans_used(self, monkeypatch, table, store, constraint, workers):
         """The span count of each `_over_spans` call of a filtered ranking on
@@ -745,8 +745,9 @@ class TestScoreBlocks:
 
 
 class TestNormedRows:
-    """Type-constrained ranking norms and checks only the entity rows its
-    split can read, when they are at most _GATHER_SHARE of the table."""
+    """Ranking norms an entity row when a key of some block first reads it:
+    every column that keys, gathered keys or pair keys read is normed, and a
+    row that no key reads is not."""
 
     @staticmethod
     def pooled(store):
@@ -769,8 +770,10 @@ class TestNormedRows:
 
     @staticmethod
     def recording(monkeypatch):
-        """Record each scorer that ranking builds, and check that every
-        column its keys, gathered keys and pair keys read is normed."""
+        """Record each scorer that ranking builds, with the set of rows its
+        keys, gathered keys and pair keys read as ``cand.read``, and check
+        after each call that the rows it read have the whole-table einsum's
+        |e|^2 cached, bit for bit."""
         scorers = []
         init = CandidateScorer.__init__
         keys, gathered_keys = CandidateScorer.keys, CandidateScorer.gathered_keys
@@ -778,22 +781,26 @@ class TestNormedRows:
 
         def building(cand, *args, **kwargs):
             init(cand, *args, **kwargs)
+            cand.whole = np.einsum("nc,nc->n", cand._cols, cand._cols)
+            cand.read = set()
             scorers.append(cand)
 
-        def read(cand, ids):
-            assert np.isin(ids, cand.normed).all()
+        def read(cand, ids, result):
+            np.testing.assert_array_equal(cand._row_sq[ids].view(np.uint64),
+                                          cand.whole[ids].view(np.uint64))
+            np.testing.assert_array_equal(result[1].view(np.uint64),
+                                          cand.whole[ids].view(np.uint64))
+            cand.read.update(ids.tolist())
+            return result
 
         def keying(cand, scaled, lo, hi, out=None):
-            read(cand, np.arange(lo, hi))
-            return keys(cand, scaled, lo, hi, out)
+            return read(cand, np.arange(lo, hi), keys(cand, scaled, lo, hi, out))
 
         def gathering(cand, scaled, ids, rows, out=None):
-            read(cand, ids)
-            return gathered_keys(cand, scaled, ids, rows, out)
+            return read(cand, ids, gathered_keys(cand, scaled, ids, rows, out))
 
         def pairing(cand, scaled, ids):
-            read(cand, ids)
-            return pair_keys(cand, scaled, ids)
+            return read(cand, ids, pair_keys(cand, scaled, ids))
 
         monkeypatch.setattr(CandidateScorer, "__init__", building)
         monkeypatch.setattr(CandidateScorer, "keys", keying)
@@ -801,41 +808,127 @@ class TestNormedRows:
         monkeypatch.setattr(CandidateScorer, "pair_keys", pairing)
         return scorers
 
+    @staticmethod
+    def assert_normed_as_read(cand):
+        """Rows some key read are normed, the others not."""
+        read = sorted(cand.read)
+        np.testing.assert_array_equal(cand._row_sq[read].view(np.uint64),
+                                      cand.whole[read].view(np.uint64))
+        assert np.isnan(np.delete(cand._row_sq, read)).all()
+
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_keys_read_only_normed_rows(self, monkeypatch, workers, scorer):
         # blocks of 3 triples in tiles of a few columns, as in
-        # TestScoreBlocks::test_oracle_equivalence_gathered; one-row norm
-        # spans and one-row chunks, so the 23 normed rows of 48 split into
-        # up to 3 spans that gather their rows a row at a time
+        # TestScoreBlocks::test_oracle_equivalence_gathered, so each block
+        # norms its golds on the calling thread and its other columns in up
+        # to 3 spans; type-constrained, the blocks read only rows of their
+        # pools, heads and tails: 23 of the 48
         store, table = small_pools_instance()
         width = (2 if scorer == "rotate" else 4) * table.k
         monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", 3)
         monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (6 + width) * 4)
-        monkeypatch.setattr(model, "_SPAN_BYTES", 1)
-        monkeypatch.setattr(model, "_CHUNK_BYTES", 1)
         use_workers(monkeypatch, workers)
         scorers = self.recording(monkeypatch)
         readable = self.readable(store)
         assert len(readable) == 23
-        cols = table.entities.reshape(store.n_entities, -1)[:, :width]
-        whole = np.einsum("nc,nc->n", cols, cols)
         for mode in ("raw", "filtered"):
             scorers.clear()
             report = link_prediction(table, store, mode=mode, constraint=True,
                                      scorer=scorer)
             TestScoreBlocks.assert_reference(report, table, store, mode, True, scorer)
             (cand,) = scorers
-            assert cand.normed.tolist() == readable
-            np.testing.assert_array_equal(cand._row_sq[readable].view(np.uint64),
-                                          whole[readable].view(np.uint64))
-            assert cand.max_row_sq == whole[readable].max()
-            assert np.isnan(np.delete(cand._row_sq, readable)).all()
+            assert cand.read <= set(readable)
+            self.assert_normed_as_read(cand)
             # unconstrained ranking norms every row
             scorers.clear()
             link_prediction(table, store, mode=mode, scorer=scorer)
-            np.testing.assert_array_equal(scorers[0]._row_sq.view(np.uint64),
-                                          whole.view(np.uint64))
+            assert scorers[0].read == set(range(store.n_entities))
+            self.assert_normed_as_read(scorers[0])
+
+    @staticmethod
+    def mixed_blocks_instance():
+        """40 entities, and a test split of 6 triples over relations a, b
+        and c with 1, 1 and 4 triples, in blocks of 3: (c, c, b), then
+        (c, c, a). The pools of b and c hold 2 or 3 entities each and those
+        of a 37, so type-constrained, the first block is compacted and the
+        second sweeps the whole table."""
+        names = [f"e{i}" for i in range(40)]
+        train = ([(e, "pad", e) for e in names]
+                 + [(names[i], "a", names[i + 1]) for i in range(36)]
+                 + [(names[h], "c", names[t]) for h, t in ((0, 10), (1, 11), (2, 12))]
+                 + [("e20", "b", "e22"), ("e21", "b", "e23")])
+        test = [("e0", "c", "e11"), ("e1", "c", "e12"), ("e20", "b", "e23"),
+                ("e2", "c", "e10"), ("e0", "c", "e12"), ("e5", "a", "e30")]
+        store = make_store(train, [("e1", "c", "e10")], test)
+        assert store.entity_names == names
+        return store, init_embeddings(40, store.n_relations, 6, seed=21)
+
+    @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_cache_across_mixed_blocks(self, monkeypatch, workers, scorer):
+        # Every call of the helper is recorded with its block and with which
+        # of its rows were cached before it, and every row its einsum norms
+        # is counted. A call with an unnormed row norms each of its rows
+        # once, a call over cached rows norms none, and so the rows normed a
+        # second time are exactly the cached rows of partly cached calls.
+        store, table = self.mixed_blocks_instance()
+        width = (2 if scorer == "rotate" else 4) * table.k
+        monkeypatch.setattr(evaluation, "_BLOCK_TRIPLES", 3)
+        monkeypatch.setattr(evaluation, "_TILE_BYTES", 8 * (6 + width) * 4)
+        use_workers(monkeypatch, workers)
+        scorers = self.recording(monkeypatch)
+        calls, normed, blocks = [], [], []
+        row_norms, mean_rank, einsum = CandidateScorer._row_norms, evaluation._mean_rank, np.einsum
+
+        inside = threading.local()
+
+        def recording(cand, ids, rows):
+            listed = np.arange(store.n_entities)[ids]
+            calls.append((len(blocks), listed, ~np.isnan(cand._row_sq[listed])))
+            inside.helper = True
+            try:
+                return row_norms(cand, ids, rows)
+            finally:
+                inside.helper = False
+
+        def ranking(cand, rows, queries, mask):
+            blocks.append(mask.any(axis=0).sum() <= 0.75 * store.n_entities)
+            return mean_rank(cand, rows, queries, mask)
+
+        def counting(subscripts, *operands, **kwargs):
+            if getattr(inside, "helper", False):
+                normed.append(operands[0].shape[0])
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(CandidateScorer, "_row_norms", recording)
+        monkeypatch.setattr(evaluation, "_mean_rank", ranking)
+        for constraint, mode in itertools.product((True, False), ("raw", "filtered")):
+            scorers.clear(), calls.clear(), normed.clear(), blocks.clear()
+            # spans switch often, so that a lost cache write would show
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setattr(np, "einsum", counting)
+                    report = link_prediction(table, store, mode=mode,
+                                             constraint=constraint, scorer=scorer)
+            finally:
+                sys.setswitchinterval(interval)
+            TestScoreBlocks.assert_reference(report, table, store, mode, constraint, scorer)
+            (cand,) = scorers
+            self.assert_normed_as_read(cand)
+            assert sum(normed) == sum(ids.size for _, ids, cached in calls if not cached.all())
+            again = sum(int(cached.sum()) for _, ids, cached in calls if not cached.all())
+            assert sum(normed) == len(cand.read) + again
+            later = [cached for block, _, cached in calls if block == 2]
+            if constraint:
+                assert blocks == [True, False]  # compacted, then the whole table
+                # the whole-table block holds a tile partly cached by the first
+                assert any(cached.any() and not cached.all() for cached in later)
+            else:
+                # the first block swept the whole table: the second norms nothing
+                assert blocks == [False, False] and all(cached.all() for cached in later)
 
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -878,7 +971,6 @@ class TestNormedRows:
                             names(store.test) + [("e5", "unseen", "e6")])
         assert unseen.entity_names == store.entity_names
         table = init_embeddings(unseen.n_entities, unseen.n_relations, table.k, seed=19)
-        monkeypatch.setattr(model, "_SPAN_BYTES", 1)
         use_workers(monkeypatch, workers)
         scorers = self.recording(monkeypatch)
         assert self.readable(unseen) == list(range(unseen.n_entities))
@@ -886,7 +978,7 @@ class TestNormedRows:
             scorers.clear()
             report = link_prediction(table, unseen, mode=mode, constraint=True)
             TestScoreBlocks.assert_reference(report, table, unseen, mode, True)
-            assert scorers[0].normed.tolist() == list(range(unseen.n_entities))
+            assert scorers[0].read == set(range(unseen.n_entities))
             assert not np.isnan(scorers[0]._row_sq).any()
 
 
@@ -968,3 +1060,32 @@ class TestRankInvariants:
                         use_workers(patch, workers)
                         assert (link_prediction(table, store, mode, constraint, scorer)
                                 == report)
+
+
+class TestNonFiniteRow:
+    """A non-finite entity row never moves a metric: ranking either raises
+    ZeroQuaternionError or returns the report of the finite table."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=st.one_of(tied_instance(), tied_instance(n_entities=16, pooled=True)),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           where=st.tuples(st.integers(0, 15), st.integers(0, 3), st.integers(0, 1)))
+    def test_raises_or_keeps_the_report(self, instance, bad, where):
+        table, store = instance
+        broken = table.copy()
+        broken.entities[where[0] % table.n_entities, where[1], where[2]] = bad
+        with pytest.MonkeyPatch.context() as patch:
+            # blocks of 3 triples in one-column tiles
+            patch.setattr(evaluation, "_BLOCK_TRIPLES", 3)
+            patch.setattr(evaluation, "_TILE_BYTES", 1)
+            for scorer, mode, constraint in itertools.product(
+                    ("quate_d", "rotate", "quate_inner"), MODES, (False, True)):
+                use_workers(patch, 1)
+                finite = link_prediction(table, store, mode, constraint, scorer)
+                for workers in (1, 2, 3):
+                    use_workers(patch, workers)
+                    try:
+                        report = link_prediction(broken, store, mode, constraint, scorer)
+                    except ZeroQuaternionError:
+                        continue
+                    assert report == finite

@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import threading
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -435,15 +436,19 @@ class TestCandidateSweeps:
         rows = np.array([[0, 1, 5], [3, 0, 5], [10, 2, 1]])
         queries = sweeps.queries(rows)
         scaled = sweeps.key_scale * queries
-        keys = np.concatenate([sweeps.keys(scaled, lo, min(11, lo + 4))
-                               for lo in range(0, 11, 4)], axis=1)
-        np.testing.assert_array_equal(keys, sweeps.keys(scaled, 0, 11))
+        tiles = [sweeps.keys(scaled, lo, min(11, lo + 4)) for lo in range(0, 11, 4)]
+        keys, row_sq = sweeps.keys(scaled, 0, 11)
+        np.testing.assert_array_equal(np.concatenate([tile for tile, _ in tiles], axis=1), keys)
+        np.testing.assert_array_equal(np.concatenate([sq for _, sq in tiles]), row_sq)
+        cols = sweeps._cols
+        np.testing.assert_array_equal(row_sq, np.einsum("nc,nc->n", cols, cols))
         # gathered columns, including rotate's strided (a, b) ones
         ids = np.array([1, 4, 5, 9])
         gathered = np.full((ids.size, queries.shape[1]), np.nan)
-        np.testing.assert_allclose(sweeps.gathered_keys(scaled, ids, gathered),
-                                   keys[:, ids], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(gathered, sweeps._cols[ids])
+        gathered_keys, gathered_sq = sweeps.gathered_keys(scaled, ids, gathered)
+        np.testing.assert_allclose(gathered_keys, keys[:, ids], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(gathered_sq, row_sq[ids])
+        np.testing.assert_array_equal(gathered, cols[ids])
         if scorer == "quate_inner":
             scores = -keys
         else:
@@ -452,8 +457,9 @@ class TestCandidateSweeps:
         np.testing.assert_array_equal(scores[:3], sweeps.all_tails(rows[:, 0], rows[:, 1]))
         np.testing.assert_array_equal(scores[3:], sweeps.all_heads(rows[:, 1], rows[:, 2]))
         gold = np.concatenate([rows[:, 2], rows[:, 0]])
-        np.testing.assert_allclose(sweeps.pair_keys(scaled, gold),
-                                   keys[np.arange(6), gold], rtol=0, atol=1e-12)
+        gold_keys, gold_sq = sweeps.pair_keys(scaled, gold)
+        np.testing.assert_allclose(gold_keys, keys[np.arange(6), gold], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(gold_sq, row_sq[gold])
 
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     def test_queries_equal_two_product_build(self, scorer):
@@ -515,53 +521,26 @@ class TestCandidateSweeps:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 7, 20_000])
     def test_span_norms_equal_whole_table(self, monkeypatch, scorer, workers, n):
-        # At N = 1 and 7 every row may have a thread of its own, so 7 rows
-        # split unevenly; at 20,000 the default span size allows 3 spans (2
-        # for rotate's narrower rows).
-        if n < 10:
-            monkeypatch.setattr(model, "_SPAN_BYTES", 1)
-        monkeypatch.setattr(model, "_worker_count", lambda: workers)
-        spans = record_spans(monkeypatch)
-        table = init_embeddings(n, 2, 16, seed=29)
-        width = 32 if scorer == "rotate" else 64
-        cols = table.entities.reshape(n, -1)[:, :width]  # rotate: strided (a, b)
-        whole = np.einsum("nc,nc->n", cols, cols)
-        cand = CandidateScorer(table, scorer)
-        np.testing.assert_array_equal(cand._row_sq.view(np.uint64), whole.view(np.uint64))
-        assert cand.max_row_sq == float(whole.max())
-        rows = max(1, model._SPAN_BYTES // (8 * width))
-        assert spans == [min(workers, -(-n // rows))]
-        table.entities[n - 1, 1, 0] = np.nan  # in the last span
-        with pytest.raises(ZeroQuaternionError):
-            CandidateScorer(table, scorer)
+        # Every row keyed as table slices in tiles of n // 9 columns (one at
+        # N = 1 and 7), cut into one span per worker as ranking cuts them;
+        # a NaN in the last tile raises from the last span.
+        check_row_norms(monkeypatch, n, scorer, workers, np.arange(n), max(1, n // 9),
+                        gathered=False, bad=np.nan)
 
     @pytest.mark.parametrize("scorer", ["quate_d", "rotate", "quate_inner"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("span_rows, chunk_rows", [(1, 1), (6, 4), (100, 100)])
     def test_normed_rows(self, monkeypatch, scorer, workers, span_rows, chunk_rows):
-        # 17 of 60 rows, normed in spans of `span_rows` rows and gathered in
-        # chunks of `chunk_rows` rows; in spans of 6 rows on 3 workers, the
-        # second span holds the run 40-45, normed in place
-        width = 32 if scorer == "rotate" else 64
-        monkeypatch.setattr(model, "_SPAN_BYTES", 8 * width * span_rows)
-        monkeypatch.setattr(model, "_CHUNK_BYTES", 8 * width * chunk_rows)
-        monkeypatch.setattr(model, "_worker_count", lambda: workers)
-        spans = record_spans(monkeypatch)
-        table = init_embeddings(60, 2, 16, seed=30)
-        normed = np.array([0, 3, 4, 9, 17, 18, 40, 41, 42, 43, 44, 45, 52, 53, 56, 58, 59])
-        cols = table.entities.reshape(60, -1)[:, :width]
-        whole = np.einsum("nc,nc->n", cols, cols)
-        cand = CandidateScorer(table, scorer, normed)
-        np.testing.assert_array_equal(cand._row_sq[normed].view(np.uint64),
-                                      whole[normed].view(np.uint64))
-        assert np.isnan(np.delete(cand._row_sq, normed)).all()
-        assert cand.max_row_sq == float(whole[normed].max())
-        assert spans == [min(workers, -(-normed.size // span_rows))]
-        table.entities[1, 2, 0] = table.entities[50, 0, 0] = np.nan  # not normed
-        CandidateScorer(table, scorer, normed)
-        table.entities[59, 0, 0] = np.inf  # in the last span
-        with pytest.raises(ZeroQuaternionError):
-            CandidateScorer(table, scorer, normed)
+        # 17 of 60 rows, first pair-keyed `chunk_rows` ids at a time, then
+        # gathered in tiles of `span_rows` ids; in tiles of 6 ids the second
+        # holds the run 40-45, keyed as a slice. The pair keys cache 4 of
+        # the rows first, and a tile that holds one norms it again with its
+        # other rows. NaN rows that no key reads do not raise; an inf in the
+        # last tile does, from the last span.
+        ids = np.array([0, 3, 4, 9, 17, 18, 40, 41, 42, 43, 44, 45, 52, 53, 56, 58, 59])
+        check_row_norms(monkeypatch, 60, scorer, workers, ids, span_rows, gathered=True,
+                        bad=np.inf, golds=ids[[1, 6, 13, 15]], gold_rows=chunk_rows,
+                        unread=[1, 50])
 
 
 class TestNonFinite:
@@ -572,8 +551,23 @@ class TestNonFinite:
     def test_entity_row(self, scorer, bad):
         table = init_embeddings(4, 2, 3, seed=27)
         table.entities[2, 1, 0] = bad
+        # entity rows are checked when a key or a query reads them
+        cand = CandidateScorer(table, scorer)
+        scaled = cand.key_scale * cand.queries(np.array([[0, 0, 1], [3, 1, 0]]))
+        width = scaled.shape[1]
+        cand.keys(scaled, 0, 2)
+        cand.gathered_keys(scaled, np.array([1, 3]), np.empty((2, width)))
+        cand.pair_keys(scaled[:2], np.array([3, 0]))
         with pytest.raises(ZeroQuaternionError):
-            CandidateScorer(table, scorer)
+            cand.keys(scaled, 0, 4)
+        with pytest.raises(ZeroQuaternionError):
+            cand.gathered_keys(scaled, np.array([0, 2]), np.empty((2, width)))
+        with pytest.raises(ZeroQuaternionError):
+            cand.pair_keys(scaled[:2], np.array([1, 2]))
+        with pytest.raises(ZeroQuaternionError):
+            cand.queries(np.array([[0, 0, 1], [1, 1, 2]]))  # a head query's source
+        with pytest.raises(ZeroQuaternionError):
+            CandidateScorer(table, scorer).all_tails(0, 0)
         with pytest.raises(ZeroQuaternionError):
             score_triples(table, [(0, 0, 1), (2, 1, 3)], scorer)
         assert np.isfinite(score_triples(table, [(0, 0, 1)], scorer)).all()
@@ -992,6 +986,90 @@ class ShrinkingFile:
         if self.reads == self.short:
             view = view[:len(view) // 2]
         return self.handle.readinto(view)
+
+
+def check_row_norms(monkeypatch, n, scorer, workers, ids, tile, gathered, bad,
+                    golds=(), gold_rows=1, unread=()):
+    """Key the rows `ids` of an n-row table for four queries, in tiles of
+    `tile` ids cut into one span per worker as ranking cuts them, after
+    pair-keying `golds` `gold_rows` at a time; a tile whose ids form one run
+    is keyed as a table slice, any other as gathered rows when `gathered`.
+
+    Every |e|^2 the keys return and the scorer caches must be the
+    whole-table einsum's bit for bit, rotate's strided (a, b) columns
+    included; only a gold, which its tile's rows then norm again, may be
+    normed twice, a call over cached rows norms none, and rows no key read
+    stay NaN.
+    Then with `bad` in the last id's row (and NaN in the rows `unread`),
+    keying must raise from the span of the last tile, before its keys are
+    formed, and cache no row of that tile but the golds.
+    """
+    width = 32 if scorer == "rotate" else 64
+    table = init_embeddings(n, 2, 16, seed=29)
+    cols = table.entities.reshape(n, -1)[:, :width]  # rotate: strided (a, b)
+    whole = np.einsum("nc,nc->n", cols, cols)
+    normed, failed = [], []
+    row_norms = CandidateScorer._row_norms
+
+    def recording(cand, rows_ids, rows):
+        # a call norms all of its rows when any of them is not cached
+        fresh = np.isnan(cand._row_sq[rows_ids]).any()
+        try:
+            row_sq = row_norms(cand, rows_ids, rows)
+        except ZeroQuaternionError:
+            failed.append(threading.current_thread().name)
+            raise
+        if fresh:
+            normed.extend(np.arange(n)[rows_ids].tolist())
+        return row_sq
+
+    monkeypatch.setattr(CandidateScorer, "_row_norms", recording)
+    tiles = [ids[lo:lo + tile] for lo in range(0, ids.size, tile)]
+
+    def sweep(cand):
+        for lo in range(0, len(golds), gold_rows):
+            part = np.asarray(golds[lo:lo + gold_rows])
+            _, row_sq = cand.pair_keys(scaled[:part.size], part)
+            np.testing.assert_array_equal(row_sq.view(np.uint64), whole[part].view(np.uint64))
+
+        def span(_, first, last):
+            for part in tiles[first:last]:
+                out = np.full((4, part.size), 7.0)
+                try:
+                    if part[-1] - part[0] == part.size - 1 or not gathered:
+                        _, row_sq = cand.keys(scaled, part[0], part[-1] + 1, out)
+                    else:
+                        _, row_sq = cand.gathered_keys(scaled, part,
+                                                       np.empty((part.size, width)), out)
+                except ZeroQuaternionError:
+                    assert (out == 7.0).all()  # raised before any key was formed
+                    raise
+                np.testing.assert_array_equal(row_sq.view(np.uint64),
+                                              whole[part].view(np.uint64))
+
+        model._over_spans(span, len(tiles), min(workers, len(tiles)))
+
+    cand = CandidateScorer(table, scorer)
+    # the queries of the finite table, also for the sweep after `bad` is set
+    scaled = cand.key_scale * cand.queries(np.array([[0, 1, n - 1], [n // 2, 0, 0]]))
+    assert np.isnan(cand._row_sq).all()
+    sweep(cand)
+    assert sorted(set(normed)) == ids.tolist()
+    assert {row for row, times in Counter(normed).items() if times > 1} <= set(golds)
+    np.testing.assert_array_equal(cand._row_sq[ids].view(np.uint64), whole[ids].view(np.uint64))
+    assert np.isnan(np.delete(cand._row_sq, ids)).all()
+    count = len(normed)
+    sweep(cand)  # every row is cached now
+    assert len(normed) == count
+    table.entities[unread, 0, 0] = np.nan
+    table.entities[ids[-1], 1, 0] = bad  # in the last tile, that of the last span
+    cand = CandidateScorer(table, scorer)
+    with pytest.raises(ZeroQuaternionError):
+        sweep(cand)
+    assert failed == ["MainThread" if min(workers, len(tiles)) == 1
+                      else f"quatkge-span-{min(workers, len(tiles)) - 1}"]
+    assert np.isnan(cand._row_sq[np.setdiff1d(tiles[-1], golds)]).all()
+    assert not np.isinf(cand._row_sq).any()
 
 
 def record_spans(monkeypatch) -> list:
