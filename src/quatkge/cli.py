@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_data_flags(parser, required=True):
     parser.add_argument("--train", required=required, help="training split file")
     parser.add_argument("--valid", required=required, help="validation split file")
@@ -117,14 +128,14 @@ def build_parser() -> _Parser:
 
     p_prop = sub.add_parser("properties", help="randomized algebra/pattern checks")
     _add_common_flags(p_prop)
-    p_prop.add_argument("--trials", type=int, default=10_000)
-    p_prop.add_argument("--dim", type=int, default=8, help="embedding dimension k")
+    p_prop.add_argument("--trials", type=_positive_int, default=10_000)
+    p_prop.add_argument("--dim", type=_positive_int, default=8, help="embedding dimension k")
     p_prop.add_argument("--seed", type=int, default=0)
     p_prop.add_argument("--tolerance", type=float, default=properties.DEFAULT_TOLERANCE)
     p_prop.add_argument("--checkpoint",
                         help="also report trained-relation diagnostics")
     _add_data_flags(p_prop, required=False)
-    p_prop.add_argument("--pairs", type=int, default=1000,
+    p_prop.add_argument("--pairs", type=_positive_int, default=1000,
                         help="entity pairs per trained-relation diagnostic")
 
     p_inspect = sub.add_parser("inspect", help="print checkpoint metadata")

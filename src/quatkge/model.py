@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import functools
 import json
 import math
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,28 +119,32 @@ def _worker_count() -> int:
     return 1
 
 
-def _on_threads(fns: list) -> list:
-    """``[fn() for fn in fns]``, with ``fns[0]`` on the calling thread and
-    every other on a thread of its own, named ``quatkge-span-<i>``.
+def _over_spans(fn, n: int, spans: int) -> list:
+    """``[fn(i, lo, hi) for each span i]``, where the `spans` spans
+    [lo, hi) cut range(n) into contiguous runs as equal as whole numbers
+    allow (1 <= spans <= n): span 0 on the calling thread and every other
+    span on a thread of its own, named ``quatkge-span-<i>``, so one span
+    starts no thread.
 
     numpy releases the interpreter lock in the products, ufuncs, einsums,
-    copies and random draws the callables run, and a file object in its
-    reads and writes, so the threads overlap. The call returns once every
-    thread has ended; if a callable raised, the exception of the first such
-    callable is raised then.
+    copies and random draws the spans run, and a file object in its reads
+    and writes, so the threads overlap. The call returns once every thread
+    has ended; if a span raised, the exception of the first such span is
+    raised then.
     """
-    results: list = [None] * len(fns)
-    errors: list = [None] * len(fns)
+    bounds = [n * i // spans for i in range(spans + 1)]
+    results: list = [None] * spans
+    errors: list = [None] * spans
 
     def run(i: int) -> None:
         try:
-            results[i] = fns[i]()
+            results[i] = fn(i, bounds[i], bounds[i + 1])
         except BaseException as exc:  # re-raised on the calling thread below
             errors[i] = exc
 
     threads = []
     try:
-        for i in range(1, len(fns)):
+        for i in range(1, spans):
             thread = threading.Thread(target=run, args=(i,), name=f"quatkge-span-{i}")
             thread.start()
             threads.append(thread)
@@ -152,20 +156,6 @@ def _on_threads(fns: list) -> list:
         if exc is not None:
             raise exc
     return results
-
-
-def _over_spans(fn, n: int, spans: int) -> list:
-    """``[fn(i, lo, hi) for each span i]``, where the `spans` spans
-    [lo, hi) cut range(n) into contiguous runs as equal as whole numbers
-    allow (1 <= spans <= n), run by ``_on_threads``: span 0 on the calling
-    thread and every other span on a thread of its own, so one span starts
-    no thread.
-    """
-    if spans == 1:
-        return [fn(0, 0, n)]
-    bounds = [n * i // spans for i in range(spans + 1)]
-    return _on_threads([functools.partial(fn, i, bounds[i], bounds[i + 1])
-                        for i in range(spans)])
 
 
 def _streams(rng: np.random.Generator, rows: int, k: int) -> list[np.random.Generator]:
@@ -194,14 +184,17 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
     after a one-shot draw.
 
     When the process may use more than one CPU and `out` is at least
-    ``_SPAN_BYTES``, the draw runs on two threads through ``_on_threads``: a
-    worker draws theta and rho chunk by chunk and writes rho*cos(theta) into
-    plane 0 and rho*sin(theta) into plane 1, while the calling thread draws
-    each chunk's directions, whose rejection sampling fixes no stream offset
-    in advance, and, once the worker has passed that chunk, scales them by
-    the sine in plane 1. Both threads run the same ufuncs on the same values
-    as one thread does, so the table is the same. Beyond `out`, each thread
-    holds only one chunk's draws and temporaries.
+    ``_SPAN_BYTES``, the draw runs on two threads: every chunk's theta and rho
+    draw is submitted up front to a one-worker executor, which writes
+    rho*cos(theta) into plane 0 and rho*sin(theta) into plane 1 chunk by
+    chunk, while the calling thread draws each chunk's directions, whose
+    rejection sampling fixes no stream offset in advance, waits for that
+    chunk's future, which re-raises a worker error, and scales the directions
+    by the sine in plane 1. On a return or a raise the futures not yet started
+    are cancelled and leaving the executor joins its worker. Both threads run
+    the same ufuncs on the same values as one thread does, so the table is the
+    same. Beyond `out`, each thread holds only one chunk's draws and
+    temporaries.
     """
     rows, _, k = out.shape
     bound = 1.0 / math.sqrt(2.0 * k)
@@ -233,39 +226,16 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
         np.multiply(unit, out[part, 1:2, :], out=out[part, 1:, :])
 
     if _cpu_count() > 1 and out.nbytes >= _SPAN_BYTES:
-        ready = threading.Condition()
-        polar_done, failed, halted = 0, False, False
-
-        def polar_side() -> None:
-            nonlocal polar_done, failed
+        with ThreadPoolExecutor(1, thread_name_prefix="quatkge-span-draw") as worker:
+            polars = [worker.submit(polar, part) for part in parts]
             try:
-                for part in parts:
-                    if halted:  # the calling thread raised
-                        return
-                    polar(part)
-                    with ready:
-                        polar_done += 1
-                        ready.notify()
-            except BaseException:
-                with ready:
-                    failed = True
-                    ready.notify()
-                raise  # _on_threads re-raises it on the calling thread
-
-        def direction_side() -> None:
-            nonlocal halted
-            try:
-                for i, part in enumerate(parts):
+                for part, future in zip(parts, polars):
                     unit = unit_directions(part)
-                    with ready:
-                        ready.wait_for(lambda: polar_done > i or failed)
-                    if failed:
-                        return
+                    future.result()  # re-raises the worker's error
                     imaginary(part, unit)
             finally:
-                halted = True
-
-        _on_threads([direction_side, polar_side])
+                for future in polars:
+                    future.cancel()
     else:
         for part in parts:
             polar(part)

@@ -289,7 +289,8 @@ def check_trained(table: EmbeddingTable, store: TripleStore, relation: int,
     The energy is the imaginary share of the normalized relation's total
     squared magnitude (total is k, one per unit coordinate). Asymmetry is the
     mean |phi(h, r, t) - phi(t, r, h)| over sampled entity pairs, reported
-    next to the mean score as a scale reference.
+    next to the mean score as a scale reference. Raises ValueError when no
+    sampled pair holds two distinct entities, as on a one-entity store.
     """
     gen = np.random.default_rng(rng)
     unit = quat.normalize(table.relations[relation])
@@ -299,6 +300,9 @@ def check_trained(table: EmbeddingTable, store: TripleStore, relation: int,
     tails = gen.integers(n, size=pairs)
     distinct = heads != tails
     heads, tails = heads[distinct], tails[distinct]
+    if heads.shape[0] == 0:
+        raise ValueError(f"relation {relation}: none of {pairs} sampled entity "
+                         "pairs holds two distinct entities")
     rel_col = np.full(heads.shape[0], relation, dtype=np.int64)
     forward = score_triples(table, np.stack([heads, rel_col, tails], axis=1))
     backward = score_triples(table, np.stack([tails, rel_col, heads], axis=1))

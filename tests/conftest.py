@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 
@@ -16,6 +17,15 @@ PLANTED_TRAIN_SEED = 42
 PLANTED_CONFIG = dict(k=50, margin=1.0, lr=0.02, neg_rate=5, batch_size=10,
                       epochs=2000, seed=PLANTED_TRAIN_SEED, eval_every=20,
                       patience=5)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fail every test after which a thread of the package is still alive:
+    every call that starts workers joins them before it returns or raises."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("quatkge-")]
+    assert not left, f"worker threads still alive after the test: {left}"
 
 
 @pytest.fixture(scope="session")

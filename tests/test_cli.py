@@ -405,6 +405,17 @@ class TestPropertiesCommand:
         doc = read_keyvalue(out / "properties.keyvalue")
         assert "trained.sym.imaginary_energy" in doc
 
+    @pytest.mark.parametrize("flag", ["--trials", "--dim", "--pairs"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_is_usage_error(self, dataset_dir, trained, capsys,
+                                            flag, value):
+        # with a checkpoint, so that --pairs would reach the diagnostics
+        with pytest.raises(SystemExit) as exc:
+            main(["properties", "--trials", "20", "--checkpoint", str(trained),
+                  *data_flags(dataset_dir), flag, value])
+        assert exc.value.code == 1
+        assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
 
 class TestInspectCommand:
     def test_prints_metadata(self, trained, capsys):

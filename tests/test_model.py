@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import threading
+import time
 from collections import Counter
 from unittest import mock
 
@@ -112,23 +113,26 @@ class TestTwoThreadDraw:
     """With ``_SPAN_BYTES`` at one byte every block may take the two-thread
     draw, which it does when more than one CPU is usable."""
 
+    WORKER = "quatkge-span-draw_0"
+    # TestInit's chunk sizes, and one chunk for the whole block
+    CHUNKS = TestInit.CHUNKS + [2**20]
+
     @pytest.fixture(params=[1, 2, 3])
     def cpus(self, request, monkeypatch):
         monkeypatch.setattr(model, "_SPAN_BYTES", 1)
         monkeypatch.setattr(model, "_cpu_count", lambda: request.param)
         return request.param
 
-    @staticmethod
-    def assert_polar_threads(cpus: int, threads: list, started: list) -> None:
+    def assert_polar_threads(self, cpus: int, threads: list, started: list) -> None:
         """The theta draws ran on the worker when more than one CPU is
         usable, and on the calling thread, with no thread started, else."""
         if cpus > 1:
-            assert set(threads) == {"quatkge-span-1"} and started == ["quatkge-span-1"] * 2
+            assert set(threads) == {self.WORKER} and started == [self.WORKER] * 2
         else:
             assert set(threads) == {threading.current_thread().name} and started == []
         assert not span_threads()
 
-    @pytest.mark.parametrize("chunk_bytes", TestInit.CHUNKS)
+    @pytest.mark.parametrize("chunk_bytes", CHUNKS)
     def test_equals_one_shot_draw(self, monkeypatch, cpus, chunk_bytes):
         monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
         threads, started = polar_threads(monkeypatch), started_threads(monkeypatch)
@@ -137,7 +141,7 @@ class TestTwoThreadDraw:
         assert table.params.tobytes() == expected.tobytes()
         self.assert_polar_threads(cpus, threads, started)
 
-    @pytest.mark.parametrize("chunk_bytes", TestInit.CHUNKS)
+    @pytest.mark.parametrize("chunk_bytes", CHUNKS)
     def test_degenerate_direction_in_a_later_chunk(self, monkeypatch, cpus, chunk_bytes):
         monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
         row, col = 22, 3
@@ -150,7 +154,7 @@ class TestTwoThreadDraw:
         assert np.all(table.params[row, 2:, col] == 0.0) and table.params[row, 1, col] != 0.0
         self.assert_polar_threads(cpus, threads, started)
 
-    @pytest.mark.parametrize("chunk_bytes", TestInit.CHUNKS)
+    @pytest.mark.parametrize("chunk_bytes", CHUNKS)
     def test_generator_ends_where_one_shot_draw_does(self, monkeypatch, cpus, chunk_bytes):
         monkeypatch.setattr(model, "_CHUNK_BYTES", chunk_bytes)
         threads = polar_threads(monkeypatch)
@@ -161,7 +165,7 @@ class TestTwoThreadDraw:
         assert rng.random(3, dtype=np.float32).tobytes() == \
             one_shot.random(3, dtype=np.float32).tobytes()
         assert rng.random(5).tobytes() == one_shot.random(5).tobytes()
-        assert set(threads) == {"quatkge-span-1" if cpus > 1 else
+        assert set(threads) == {self.WORKER if cpus > 1 else
                                 threading.current_thread().name}
 
     # k = 5 in chunks of 4 rows: the 30 entity rows are 8 chunks, and the
@@ -193,7 +197,7 @@ class TestTwoThreadDraw:
         caller.join(timeout=30)
         assert not caller.is_alive()
         assert [str(exc) for exc in errors] == ["draw 3 failed"]
-        assert draws[-1] == ("quatkge-span-1" if cpus > 1 and stream == "theta"
+        assert draws[-1] == (self.WORKER if cpus > 1 and stream == "theta"
                              else "test-caller")
         assert not span_threads()
 
@@ -273,6 +277,51 @@ class ZeroDirectionRng:
             gauss[self.row - self.drawn, :, self.col] = 0.0
         self.drawn += size[0]
         return gauss
+
+
+class TestOverSpans:
+    """``model._over_spans`` on its own: the (i, lo, hi) calls, their
+    threads, and the error raised when spans fail."""
+
+    @pytest.mark.parametrize("n,spans", [(1, 1), (7, 1), (7, 2), (7, 3)])
+    def test_spans_cut_the_range_on_their_threads(self, monkeypatch, n, spans):
+        started = started_threads(monkeypatch)
+        calls = []
+
+        def fn(i, lo, hi):
+            calls.append((i, lo, hi, threading.current_thread().name))
+            return i, lo, hi
+
+        results = model._over_spans(fn, n, spans)
+        assert [call[:3] for call in sorted(calls)] == results
+        assert [i for i, _, _ in results] == list(range(spans))
+        # contiguous, nonempty runs from 0 to n, as equal as whole numbers allow
+        assert results[0][1] == 0 and results[-1][2] == n
+        assert all(hi == lo for (_, _, hi), (_, lo, _) in zip(results, results[1:]))
+        assert {hi - lo for _, lo, hi in results} <= {n // spans, -(-n // spans)}
+        assert [name for *_, name in sorted(calls)] == \
+            [threading.current_thread().name] + [f"quatkge-span-{i}" for i in range(1, spans)]
+        assert started == [f"quatkge-span-{i}" for i in range(1, spans)]
+        assert not span_threads()
+
+    @pytest.mark.parametrize("failing", [(0, 2), (1, 2)])
+    def test_first_error_raised_after_every_span_returned(self, failing):
+        returned = []
+
+        def fn(i, lo, hi):
+            try:
+                if i > 0:
+                    time.sleep(0.05)  # so that an early raise would miss them
+                if i in failing:
+                    raise RuntimeError(f"span {i} failed")
+            finally:
+                returned.append(i)
+
+        with pytest.raises(RuntimeError) as exc:
+            model._over_spans(fn, 7, 3)
+        assert str(exc.value) == f"span {failing[0]} failed"
+        assert sorted(returned) == [0, 1, 2]
+        assert not span_threads()
 
 
 class TestRotateHead:

@@ -199,3 +199,10 @@ class TestTrainedDiagnostics:
         assert 0.0 < diag.imaginary_energy < 1.0
         assert diag.score_scale > 0.0
         assert diag.pairs <= 300
+
+    def test_no_distinct_pair_is_an_error(self):
+        # one entity: every sampled pair is (e0, e0)
+        store = make_store([("e0", "r", "e0")])
+        table = init_embeddings(1, 1, 4, seed=0)
+        with pytest.raises(ValueError, match="two distinct entities"):
+            check_trained(table, store, 0, pairs=50, rng=0)
