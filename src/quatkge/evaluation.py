@@ -213,9 +213,9 @@ def _settle(cand: CandidateScorer, rows: np.ndarray, query: np.ndarray,
 
 
 def _candidate_mask(store: TripleStore, rows: np.ndarray, position: str, mode: str,
-                    pools: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                    pools: np.ndarray | None) -> tuple[np.ndarray, int]:
     """``(B, N)`` candidate masks for a ``(B, 3)`` block (gold always kept)
-    plus a ``(B,)`` gold-reinserted flag.
+    plus the number of golds reinserted into their type pools.
 
     `pools` is ``store.type_pools(position)`` under type constraints, else None.
     """
@@ -223,10 +223,10 @@ def _candidate_mask(store: TripleStore, rows: np.ndarray, position: str, mode: s
     at_gold = (np.arange(rows.shape[0]), gold)
     if pools is None:
         mask = np.ones((rows.shape[0], store.n_entities), dtype=bool)
-        reinserted = np.zeros(rows.shape[0], dtype=bool)
+        reinserted = 0
     else:
         mask = pools[rows[:, 1]]
-        reinserted = ~mask[at_gold]
+        reinserted = int(np.count_nonzero(~mask[at_gold]))
         mask[at_gold] = True
     if mode == "filtered":
         mask[store.true_competitors(rows, position)] = False
@@ -260,7 +260,7 @@ def link_prediction(table: EmbeddingTable, store: TripleStore,
         for position in (TAIL, HEAD):
             mask, added = _candidate_mask(store, rows, position, mode, pools[position])
             masks.append(mask)
-            reinserted += int(np.count_nonzero(added))
+            reinserted += added
         mask = np.concatenate(masks)
         del masks
         block_ranks = _mean_rank(cand, rows, cand.queries(rows), mask)

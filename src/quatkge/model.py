@@ -31,7 +31,6 @@ import json
 import math
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,10 +50,9 @@ _CHUNK_BYTES = 2**20
 # Two ranking threads that each ran a two-thread OpenBLAS product ranked
 # about 10% slower than one (N = 40,943, k = 100, 2-vCPU VM).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# Fewest table bytes that checkpoint reads and writes give a thread of
-# their own, and the fewest bytes of a block that initialization draws on two
-# threads: about 3 ms of reading against about 0.1 ms to start and join a
-# thread (2-vCPU VM).
+# Fewest table bytes that checkpoint reads and writes give a span of their
+# own: about 3 ms of reading against about 0.1 ms to start and join a thread
+# (2-vCPU VM).
 _SPAN_BYTES = 2**22
 
 
@@ -123,39 +121,20 @@ def _over_spans(fn, n: int, spans: int) -> list:
     """``[fn(i, lo, hi) for each span i]``, where the `spans` spans
     [lo, hi) cut range(n) into contiguous runs as equal as whole numbers
     allow (1 <= spans <= n): span 0 on the calling thread and every other
-    span on a thread of its own, named ``quatkge-span-<i>``, so one span
-    starts no thread.
+    span as a future of an executor of ``spans - 1`` worker threads, named
+    ``quatkge-span_<j>``, so one span starts no thread.
 
     numpy releases the interpreter lock in the products, ufuncs, einsums,
     copies and random draws the spans run, and a file object in its reads
-    and writes, so the threads overlap. The call returns once every thread
+    and writes, so the threads overlap. The call returns once every worker
     has ended; if a span raised, the exception of the first such span is
     raised then.
     """
     bounds = [n * i // spans for i in range(spans + 1)]
-    results: list = [None] * spans
-    errors: list = [None] * spans
-
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(i, bounds[i], bounds[i + 1])
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, spans):
-            thread = threading.Thread(target=run, args=(i,), name=f"quatkge-span-{i}")
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    with ThreadPoolExecutor(max(1, spans - 1), thread_name_prefix="quatkge-span") as pool:
+        others = [pool.submit(fn, i, bounds[i], bounds[i + 1]) for i in range(1, spans)]
+        first = fn(0, bounds[0], bounds[1])
+    return [first] + [future.result() for future in others]
 
 
 def _streams(rng: np.random.Generator, rows: int, k: int) -> list[np.random.Generator]:
@@ -183,18 +162,17 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
     the chunk size. `rng` then continues where the Gaussian stream ended, as
     after a one-shot draw.
 
-    When the process may use more than one CPU and `out` is at least
-    ``_SPAN_BYTES``, the draw runs on two threads: every chunk's theta and rho
-    draw is submitted up front to a one-worker executor, which writes
-    rho*cos(theta) into plane 0 and rho*sin(theta) into plane 1 chunk by
-    chunk, while the calling thread draws each chunk's directions, whose
-    rejection sampling fixes no stream offset in advance, waits for that
-    chunk's future, which re-raises a worker error, and scales the directions
-    by the sine in plane 1. On a return or a raise the futures not yet started
-    are cancelled and leaving the executor joins its worker. Both threads run
-    the same ufuncs on the same values as one thread does, so the table is the
-    same. Beyond `out`, each thread holds only one chunk's draws and
-    temporaries.
+    The draw runs on two threads: every chunk's theta and rho draw is
+    submitted up front to a one-worker executor, which writes rho*cos(theta)
+    into plane 0 and rho*sin(theta) into plane 1 chunk by chunk, while the
+    calling thread draws each chunk's directions, whose rejection sampling
+    fixes no stream offset in advance, waits for that chunk's future, which
+    re-raises a worker error, and scales the directions by the sine in plane
+    1. On a return or a raise the futures not yet started are cancelled and
+    leaving the executor joins its worker. Each value comes from the same
+    ufuncs on the same inputs whatever thread or CPU runs them, so the table
+    is the same at any CPU count. Beyond `out`, each thread holds only one
+    chunk's draws and temporaries.
     """
     rows, _, k = out.shape
     bound = 1.0 / math.sqrt(2.0 * k)
@@ -225,21 +203,16 @@ def _draw_rows(rng: np.random.Generator, out: np.ndarray) -> None:
         # not.
         np.multiply(unit, out[part, 1:2, :], out=out[part, 1:, :])
 
-    if _cpu_count() > 1 and out.nbytes >= _SPAN_BYTES:
-        with ThreadPoolExecutor(1, thread_name_prefix="quatkge-span-draw") as worker:
-            polars = [worker.submit(polar, part) for part in parts]
-            try:
-                for part, future in zip(parts, polars):
-                    unit = unit_directions(part)
-                    future.result()  # re-raises the worker's error
-                    imaginary(part, unit)
-            finally:
-                for future in polars:
-                    future.cancel()
-    else:
-        for part in parts:
-            polar(part)
-            imaginary(part, unit_directions(part))
+    with ThreadPoolExecutor(1, thread_name_prefix="quatkge-span-draw") as worker:
+        polars = [worker.submit(polar, part) for part in parts]
+        try:
+            for part, future in zip(parts, polars):
+                unit = unit_directions(part)
+                future.result()  # re-raises the worker's error
+                imaginary(part, unit)
+        finally:
+            for future in polars:
+                future.cancel()
     # advance() dropped any buffered 32-bit half-draw, which none of the
     # 64-bit draws above would have used, so keep the caller's.
     rng.bit_generator.state = {**rng.bit_generator.state,
@@ -251,10 +224,9 @@ def init_embeddings(n_entities: int, n_relations: int, k: int, seed: int) -> Emb
 
     Both blocks come from one PCG64 stream in the order ``_draw_rows`` gives,
     read through three stream offsets per block, so init holds the table
-    plus a chunk of draws on each thread it runs on. A block of at least
-    ``_SPAN_BYTES`` is drawn on two threads when the process may use more
-    than one CPU (``taskset -c 0`` keeps it on one); the table is the same
-    either way.
+    plus a chunk of draws on each of the two threads that draw a block
+    (``taskset -c 0`` puts both on one CPU); the table is the same at any
+    CPU count.
     """
     if min(n_entities, n_relations, k) < 1:
         raise ValueError("n_entities, n_relations, and k must all be >= 1")
@@ -482,9 +454,9 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
     write that fails or is killed midway leaves an earlier file at `path` as
     it was. The table's rows are written in spans, as ``load_checkpoint``
     reads them (``_write_rows``): one per CPU the process may use and at most
-    one per ``_SPAN_BYTES`` of payload, each on a thread of its own and a
-    chunk of rows at a time, so the write holds one chunk of scratch beyond
-    the table. The file is the same for any span count. A chunk that holds a
+    one per ``_SPAN_BYTES`` of payload, run by ``_over_spans`` a chunk of
+    rows at a time, so the write holds one chunk of scratch beyond the
+    table. The file is the same for any span count. A chunk that holds a
     non-finite value raises ZeroQuaternionError before `path` is replaced.
     """
     meta = {
@@ -511,21 +483,32 @@ def save_checkpoint(table: EmbeddingTable, path, config_hash: str = "") -> None:
         raise
 
 
-def _row_spans(table: EmbeddingTable) -> tuple[int, int, list[np.ndarray], tuple]:
+def _row_spans(table: EmbeddingTable) -> tuple[int, int, list[np.ndarray]]:
     """How ``_write_rows`` and ``_read_rows`` cut the payload of `table`:
-    the span count, the rows of a chunk, one (4, rows, k) ``<f8`` buffer per
-    span (together one ``_CHUNK_BYTES`` chunk, allocated on the calling
-    thread), and the (first row, rows) of the entity block and of the
-    relation block. Component c of row `start` of the block (first, count)
-    lies 4*first + c*count + start - first rows of k values into the
-    payload."""
+    the span count, the rows of a chunk, and one (4, rows, k) ``<f8``
+    buffer per span (together one ``_CHUNK_BYTES`` chunk, allocated on the
+    calling thread)."""
     rows, _, k = table.params.shape
     row_bytes = 4 * k * 8
     spans = min(_cpu_count(), rows, -(-rows * row_bytes // _SPAN_BYTES))
     step = min(_chunk_rows(spans * row_bytes), -(-rows // spans))
-    buffers = [np.empty((4, step, k), dtype="<f8") for _ in range(spans)]
-    blocks = ((0, table.n_entities), (table.n_entities, table.n_relations))
-    return spans, step, buffers, blocks
+    return spans, step, [np.empty((4, step, k), dtype="<f8") for _ in range(spans)]
+
+
+def _chunks(table: EmbeddingTable, payload: int, lo: int, hi: int, step: int):
+    """The chunks of table rows lo..hi-1 in a checkpoint whose payload
+    starts at byte `payload`: for each, its slice of rows, at most `step`
+    and all in the entity block or all in the relation block, and the byte
+    offset of each of its 4 components' rows. Component c of row `start` of
+    the block (first, count) lies 4*first + c*count + start - first rows of
+    k values into the payload."""
+    row_bytes = table.k * 8
+    for first, count in ((0, table.n_entities), (table.n_entities, table.n_relations)):
+        end = min(hi, first + count)
+        for start in range(max(lo, first), end, step):
+            yield (slice(start, min(start + step, end)),
+                   [payload + (4 * first + c * count + start - first) * row_bytes
+                    for c in range(4)])
 
 
 def _write_rows(handle, temporary, path, table: EmbeddingTable, payload: int) -> None:
@@ -541,23 +524,20 @@ def _write_rows(handle, temporary, path, table: EmbeddingTable, payload: int) ->
     holds a non-finite value raises ZeroQuaternionError before it is
     written.
     """
-    spans, step, buffers, blocks = _row_spans(table)
-    k = table.k
+    spans, step, buffers = _row_spans(table)
 
     def write(span: int, lo: int, hi: int) -> None:
         buffer = buffers[span]
         with contextlib.nullcontext(handle) if span == 0 else open(temporary, "r+b") as sink:
-            for first, count in blocks:
-                end = min(hi, first + count)
-                for start in range(max(lo, first), end, step):
-                    part = buffer[:, :min(step, end - start)]
-                    np.copyto(part, table.params[start:start + part.shape[1]].transpose(1, 0, 2))
-                    if not np.isfinite(part).all():
-                        raise ZeroQuaternionError(
-                            f"{path}: not written: the table holds a non-finite value")
-                    for c in range(4):
-                        sink.seek(payload + (4 * first + c * count + start - first) * k * 8)
-                        sink.write(part[c].data)
+            for rows, offsets in _chunks(table, payload, lo, hi, step):
+                part = buffer[:, :rows.stop - rows.start]
+                np.copyto(part, table.params[rows].transpose(1, 0, 2))
+                if not np.isfinite(part).all():
+                    raise ZeroQuaternionError(
+                        f"{path}: not written: the table holds a non-finite value")
+                for offset, component in zip(offsets, part):
+                    sink.seek(offset)
+                    sink.write(component.data)
 
     _over_spans(write, table.params.shape[0], spans)
 
@@ -584,8 +564,7 @@ def _read_rows(handle, path, table: EmbeddingTable, payload: int) -> None:
     read raises CheckpointError, and a chunk that holds a non-finite value
     ZeroQuaternionError before it is copied.
     """
-    spans, step, buffers, blocks = _row_spans(table)
-    k = table.k
+    spans, step, buffers = _row_spans(table)
     opened = os.fstat(handle.fileno())
 
     def read(span: int, lo: int, hi: int) -> None:
@@ -593,18 +572,16 @@ def _read_rows(handle, path, table: EmbeddingTable, payload: int) -> None:
         with contextlib.nullcontext(handle) if span == 0 else open(path, "rb") as source:
             if not os.path.samestat(os.fstat(source.fileno()), opened):
                 raise CheckpointError(f"{path}: the file was replaced while it was read")
-            for first, count in blocks:
-                end = min(hi, first + count)
-                for start in range(max(lo, first), end, step):
-                    part = buffer[:, :min(step, end - start)]
-                    for c in range(4):
-                        source.seek(payload + (4 * first + c * count + start - first) * k * 8)
-                        if source.readinto(part[c]) != part[c].nbytes:
-                            raise CheckpointError(
-                                f"{path}: payload ended before its declared size")
-                    if not np.isfinite(part).all():
-                        raise ZeroQuaternionError(f"{path}: the table holds a non-finite value")
-                    table.params[start:start + part.shape[1]] = part.transpose(1, 0, 2)
+            for rows, offsets in _chunks(table, payload, lo, hi, step):
+                part = buffer[:, :rows.stop - rows.start]
+                for offset, component in zip(offsets, part):
+                    source.seek(offset)
+                    if source.readinto(component) != component.nbytes:
+                        raise CheckpointError(
+                            f"{path}: payload ended before its declared size")
+                if not np.isfinite(part).all():
+                    raise ZeroQuaternionError(f"{path}: the table holds a non-finite value")
+                table.params[rows] = part.transpose(1, 0, 2)
 
     _over_spans(read, table.params.shape[0], spans)
 
@@ -616,7 +593,7 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, dict]:
 
     The table is read into one preallocated array in spans of rows, one per
     CPU the process may use (``taskset`` narrows them) and at most one per
-    ``_SPAN_BYTES`` of payload, each on a thread of its own. The spans read
+    ``_SPAN_BYTES`` of payload, run by ``_over_spans``. The spans read
     a chunk of rows at a time and share one chunk of scratch, so peak memory
     is the table plus one chunk. The table is the same for any span count.
     """

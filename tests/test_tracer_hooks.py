@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import quatkge
 
@@ -50,3 +51,23 @@ def test_training_hooks_run_cleanly():
     assert tracer.missing == []
     rows = tracer.counts["train.adagrad_step.rows"]
     assert rows > 0 and rows == tracer.counts["train.aggregate.rows_out"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ranking_hooks_run_cleanly(monkeypatch, workers):
+    # One block of the 10 test triples, filtered and type-constrained, so
+    # that golds outside their relations' pools are reinserted; one-column
+    # tiles give every worker a span.
+    monkeypatch.setattr(quatkge.model, "_worker_count", lambda: workers)
+    monkeypatch.setattr(quatkge.evaluation, "_TILE_BYTES", 1)
+    store = random_store(np.random.default_rng(0))
+    table = quatkge.model.init_embeddings(store.n_entities, store.n_relations, 4, seed=1)
+    tracer = new_tracer()
+    tracer.install(quatkge)
+    try:
+        report = quatkge.evaluation.link_prediction(table, store, mode="filtered",
+                                                    constraint=True)
+    finally:
+        tracer.remove()
+    assert tracer.missing == []
+    assert tracer.counts["evaluation.gold_reinserted"] == report.gold_reinserted > 0
